@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import DomainMismatch, KOutOfRange
-from .model import FailurePattern, History
+from .model import FailurePattern, History, _sorted_subsets
 
 __all__ = [
     "KIND_ALWAYS_ACCURATE",
@@ -285,13 +285,6 @@ def perturbed_histories(spec: FDSpec, f: FailurePattern, budget: int) -> list[Hi
                 if history_matches(spec, variant, f).prefix_consistent:
                     out.append(variant)
     return out
-
-
-def _sorted_subsets(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for p in range(n):
-        out.extend(subset + (p,) for subset in list(out))
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 def initial_crash_scenario(f: FailurePattern) -> FailurePattern:

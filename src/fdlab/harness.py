@@ -11,10 +11,11 @@ context — and is reported as such.
 On top of the enumerator sit ``check_solves`` / ``counterexample_probe``
 (does an algorithm solve a problem over all fair bounded runs) and
 ``verify_sos`` / ``verify_das`` (do the stall and delay wrappers preserve
-solvability, checked clause by clause on every run).  The verifiers walk the
-schedule trees with incremental per-step checks; ``thorough=True`` re-derives
-every per-node verdict from scratch through ``validate_run``, ``is_stutter``
-and the predicate and insists the two agree.
+solvability, checked clause by clause on every run).  All of them expand the
+same schedule trees; the verifiers add incremental per-step checks and share
+one driver over patterns, history groups and initial states.
+``thorough=True`` re-derives every per-node verdict from scratch through
+``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .detectors import (
     FDSpec,
+    MembershipVerdict,
     history_in_p,
     history_in_pk,
     initial_crash_scenario,
@@ -43,6 +46,7 @@ from .model import (
     Run,
     State,
     Step,
+    all_monotone_patterns,
     own_state_views,
 )
 from .problems import (
@@ -65,7 +69,7 @@ from .transforms import (
     strip_faulty_steps,
     to_initial_crash_run,
 )
-from .validation import ValidationMode, validate_run
+from .validation import ValidationMode, _step_gaps, validate_run
 
 __all__ = [
     "DEFAULT_RUN_CAP",
@@ -126,11 +130,22 @@ class EnumerationBounds:
             raise DomainMismatch("bounds need n >= 1, horizon >= 0, max_steps >= 0")
         if self.history_budget < 0:
             raise DomainMismatch("history budget cannot be negative")
+        if self.fairness_window is not None and self.fairness_window < 1:
+            raise DomainMismatch(
+                f"fairness window must be positive, got {self.fairness_window}"
+            )
 
     def resolved_cap(self) -> int:
         if self.run_cap is not None:
             return self.run_cap
-        return int(os.environ.get(RUN_CAP_ENV_VAR, DEFAULT_RUN_CAP))
+        raw = os.environ.get(RUN_CAP_ENV_VAR)
+        if raw is None:
+            return DEFAULT_RUN_CAP
+        if not raw.strip().isdecimal():
+            raise DomainMismatch(
+                f"{RUN_CAP_ENV_VAR} must be a non-negative integer, got {raw!r}"
+            )
+        return int(raw)
 
     def to_dict(self) -> dict:
         return {
@@ -144,17 +159,6 @@ class EnumerationBounds:
             "inits": None if self.inits is None else len(self.inits),
             "run_cap": self.resolved_cap(),
         }
-
-
-def all_monotone_patterns(n: int, horizon: int) -> tuple[FailurePattern, ...]:
-    """Every monotone crash pattern, ordered by per-process crash times
-    (never-crashing first)."""
-    choices: tuple[int | None, ...] = (None,) + tuple(range(horizon + 1))
-    out = []
-    for times in product(choices, repeat=n):
-        crash_times = {p: t for p, t in enumerate(times) if t is not None}
-        out.append(FailurePattern.from_crash_times(n, horizon, crash_times))
-    return tuple(out)
 
 
 def init_combinations(alg: Algorithm) -> tuple[tuple[State, ...], ...]:
@@ -187,15 +191,33 @@ def estimate_run_families(
     return patterns_count * hist_bound * inits_count
 
 
-def _ensure_within_cap(bounds: EnumerationBounds, inits_count: int) -> int:
-    estimate = estimate_run_families(bounds, inits_count)
+def _run_space(
+    alg: Algorithm, bounds: EnumerationBounds
+) -> tuple[tuple[FailurePattern, ...], tuple[tuple[State, ...], ...], int]:
+    """The patterns and initial-state choices to sweep, and the family estimate.
+
+    Refuses a space that holds no run, because a check over it would report
+    success without having looked at anything, and a space whose estimate
+    exceeds the run cap.
+    """
+    if alg.n != bounds.n:
+        raise DomainMismatch(f"algorithm is over {alg.n} processes, bounds over {bounds.n}")
+    inits = bounds.inits if bounds.inits is not None else init_combinations(alg)
+    if bounds.patterns == () or not inits:
+        raise DomainMismatch("the bounds admit no crash pattern or no initial states")
+    estimate = estimate_run_families(bounds, len(inits))
     cap = bounds.resolved_cap()
     if estimate > cap:
         raise BudgetExceeded(
             f"estimated {estimate} run families exceed the cap of {cap} "
             f"(raise {RUN_CAP_ENV_VAR} or pass run_cap to override)"
         )
-    return estimate
+    patterns = (
+        bounds.patterns
+        if bounds.patterns is not None
+        else all_monotone_patterns(bounds.n, bounds.horizon)
+    )
+    return patterns, inits, estimate
 
 
 def history_groups(
@@ -221,51 +243,79 @@ def history_groups(
     return [(groups[key][0], groups[key]) for key in order]
 
 
-def _receive_options(transit: list[Message], actor: int) -> list[Message | None]:
-    options: list[Message | None] = [None]
-    options.extend(m for m in transit if m.receiver == actor)
-    return options
+class _ScheduleTree:
+    """The schedule tree of one (pattern, history, initial states) family.
 
+    Holds the current path: per-process states, the messages in transit (in
+    send order), the schedule and its times.  ``delta_cache`` memoizes
+    ``alg.transition`` and is shared by every tree of one call.
+    """
 
-def _scan_window(
-    alg: Algorithm,
-    pattern: FailurePattern,
-    history: History,
-    init: tuple[State, ...],
-    window_start: int,
-    max_steps: int,
-) -> Iterator[tuple[tuple[Step, ...], tuple[int, ...]]]:
-    """Depth-first over every schedule placed at consecutive times from
-    ``window_start``; yields (schedule, times) at every node, root first."""
-    n = pattern.n
-    horizon = pattern.horizon
-    states: list[State] = list(init)
-    transit: list[Message] = []
-    schedule: list[Step] = []
-    times: list[int] = []
+    def __init__(
+        self,
+        alg: Algorithm,
+        pattern: FailurePattern,
+        history: History,
+        init: tuple[State, ...],
+        max_steps: int,
+        delta_cache: dict,
+    ):
+        self.alg = alg
+        self.pattern = pattern
+        self.history = history
+        self.init = init
+        self.max_steps = max_steps
+        self.delta_cache = delta_cache
+        self.n = pattern.n
+        self.horizon = pattern.horizon
+        self.states: list[State] = list(init)
+        self.transit: list[Message] = []
+        self.schedule: list[Step] = []
+        self.times: list[int] = []
 
-    def walk() -> Iterator[tuple[tuple[Step, ...], tuple[int, ...]]]:
-        yield tuple(schedule), tuple(times)
-        depth = len(schedule)
-        t = window_start + depth
-        if depth >= max_steps or t > horizon:
+    def run(self) -> Run:
+        """The current path as a run."""
+        return Run(
+            self.pattern, self.history, self.init, tuple(self.schedule), tuple(self.times)
+        )
+
+    def children(self, t: int) -> Iterator[Step]:
+        """Apply each step enabled at time ``t``, yield it, then undo it.
+
+        Nothing is enabled once the path holds ``max_steps`` steps or ``t``
+        is past the horizon.  Order: by actor, then receiving nothing before
+        receiving each message addressed to the actor, in send order.
+        """
+        depth = len(self.schedule)
+        if depth >= self.max_steps or t > self.horizon:
             return
-        crashed = pattern.crashed_at(t)
-        for actor in range(n):
+        crashed = self.pattern.crashed_at(t)
+        states = self.states
+        transit = self.transit
+        cache = self.delta_cache
+        for actor in range(self.n):
             if actor in crashed:
                 continue
-            suspects = history.at(actor, t)
+            suspects = self.history.at(actor, t)
             pre = states[actor]
-            for received in _receive_options(transit, actor):
+            options: list[Message | None] = [None]
+            options.extend(m for m in transit if m.receiver == actor)
+            for received in options:
                 transmission = None if received is None else received.transmission()
-                result = alg.transition(actor, pre, transmission, suspects)
+                key = (actor, pre, transmission, suspects)
+                try:
+                    result = cache[key]
+                except KeyError:
+                    result = cache[key] = self.alg.transition(
+                        actor, pre, transmission, suspects
+                    )
                 if result is None:
                     continue
                 post, dispatch = result
                 sent = (
                     None
                     if dispatch is None
-                    else Message(actor, dispatch[0], dispatch[1], len(times) * n + actor)
+                    else Message(actor, dispatch[0], dispatch[1], depth * self.n + actor)
                 )
                 step = Step(actor, pre, received, suspects, post, sent)
                 states[actor] = post
@@ -275,18 +325,28 @@ def _scan_window(
                     del transit[removed_at]
                 if sent is not None:
                     transit.append(sent)
-                schedule.append(step)
-                times.append(t)
-                yield from walk()
-                schedule.pop()
-                times.pop()
+                self.schedule.append(step)
+                self.times.append(t)
+                yield step
+                self.times.pop()
+                self.schedule.pop()
                 if sent is not None:
                     transit.pop()
                 if received is not None:
                     transit.insert(removed_at, received)
                 states[actor] = pre
 
-    return walk()
+    def runs(self) -> Iterator[Run]:
+        """The empty run, then every nonempty schedule of each window offset
+        in depth-first order."""
+        yield self.run()
+        for window_start in range(self.horizon + 1):
+            yield from self._runs_below(window_start)
+
+    def _runs_below(self, t: int) -> Iterator[Run]:
+        for _ in self.children(t):
+            yield self.run()
+            yield from self._runs_below(t + 1)
 
 
 def _strict_fairness_debts(run: Run, fairness_window: int | None) -> list[str]:
@@ -304,13 +364,9 @@ def _strict_fairness_debts(run: Run, fairness_window: int | None) -> list[str]:
             debts.append(f"message {m.tag} to survivor {m.receiver} undelivered")
     window = fairness_window if fairness_window is not None else run.horizon + 1
     for p in sorted(correct):
-        longest = 0
-        previous = -1
-        for t in [t for s, t in zip(run.schedule, run.times) if s.actor == p] + [
-            run.horizon + 1
-        ]:
-            longest = max(longest, t - previous - 1)
-            previous = t
+        longest = _step_gaps(
+            [t for s, t in zip(run.schedule, run.times) if s.actor == p], run.horizon
+        )
         if longest >= window:
             debts.append(f"survivor {p} idle for {longest} time points")
     return debts
@@ -324,29 +380,17 @@ def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Ite
     unmet liveness debts are filtered out.  The empty run appears once per
     (pattern, history, initial states), at window offset 0.
     """
-    if alg.n != bounds.n:
-        raise DomainMismatch(f"algorithm is over {alg.n} processes, bounds over {bounds.n}")
-    inits = bounds.inits if bounds.inits is not None else init_combinations(alg)
-    _ensure_within_cap(bounds, len(inits))
-    patterns = (
-        bounds.patterns
-        if bounds.patterns is not None
-        else all_monotone_patterns(bounds.n, bounds.horizon)
-    )
+    patterns, inits, _ = _run_space(alg, bounds)
     strict = bounds.mode is ValidationMode.STRICT_FAIRNESS
+    delta_cache: dict = {}
     for pattern in patterns:
         for history in perturbed_histories(fd, pattern, bounds.history_budget):
             for init in inits:
-                for window_start in range(bounds.horizon + 1):
-                    for schedule, times in _scan_window(
-                        alg, pattern, history, init, window_start, bounds.max_steps
-                    ):
-                        if not schedule and window_start > 0:
-                            continue
-                        run = Run(pattern, history, init, schedule, times)
-                        if strict and _strict_fairness_debts(run, bounds.fairness_window):
-                            continue
-                        yield run
+                tree = _ScheduleTree(alg, pattern, history, init, bounds.max_steps, delta_cache)
+                for run in tree.runs():
+                    if strict and _strict_fairness_debts(run, bounds.fairness_window):
+                        continue
+                    yield run
 
 
 # ---------------------------------------------------------------------------
@@ -483,32 +527,26 @@ def counterexample_probe(
     interp.check_initial_cover(alg.initial_states)
     strict_bounds = replace(bounds, mode=ValidationMode.STRICT_FAIRNESS)
     checked = 0
+    found: Run | None = None
     for run in enumerate_runs(alg, fd, strict_bounds):
         checked += 1
         w = interpret_run(run, interp)
-        if predicate.evaluate(w, run.pattern) or predicate.undecided(w, run.pattern):
-            continue
-        return ProbeReport(
-            algorithm=alg.name,
-            fd=fd.serialize(),
-            problem=predicate.name,
-            bounds=strict_bounds.to_dict(),
-            found=True,
-            run=run,
-            run_doc=run_to_doc(run, alg),
-            detail=f"run #{checked} violates {predicate.name}",
-            checked_runs=checked,
-            elapsed_seconds=time.perf_counter() - t0,
-        )
+        if not (predicate.evaluate(w, run.pattern) or predicate.undecided(w, run.pattern)):
+            found = run
+            break
     return ProbeReport(
         algorithm=alg.name,
         fd=fd.serialize(),
         problem=predicate.name,
         bounds=strict_bounds.to_dict(),
-        found=False,
-        run=None,
-        run_doc=None,
-        detail=f"no violation among {checked} fair runs",
+        found=found is not None,
+        run=found,
+        run_doc=None if found is None else run_to_doc(found, alg),
+        detail=(
+            f"no violation among {checked} fair runs"
+            if found is None
+            else f"run #{checked} violates {predicate.name}"
+        ),
         checked_runs=checked,
         elapsed_seconds=time.perf_counter() - t0,
     )
@@ -627,45 +665,35 @@ class _AgreementMonitor:
         p, d = agreement_state(letter)
         if p != self.proposals[i]:
             self.proposal_changed += 1
-        if old_d is not None and d != old_d:
-            self.stability_broken += 1
         if d != old_d:
             if old_d is not None:
-                count = self.ever[old_d] - 1
-                if count:
-                    self.ever[old_d] = count
-                else:
-                    del self.ever[old_d]
-            if d is not None:
-                self.ever[d] = self.ever.get(d, 0) + 1
-            if i in self.correct:
-                if old_d is None:
-                    self.undecided_survivors -= 1
-                elif d is None:
-                    self.undecided_survivors += 1
-        self.decisions[i] = d
+                self.stability_broken += 1
+            self._decide(i, old_d, d)
         return token
 
     def pop(self, token: tuple) -> None:
-        i, old_d, stability, proposal = token
+        i, old_d, self.stability_broken, self.proposal_changed = token
         d = self.decisions[i]
         if d != old_d:
-            if d is not None:
-                count = self.ever[d] - 1
-                if count:
-                    self.ever[d] = count
-                else:
-                    del self.ever[d]
-            if old_d is not None:
-                self.ever[old_d] = self.ever.get(old_d, 0) + 1
-            if i in self.correct:
-                if d is None:
-                    self.undecided_survivors -= 1
-                elif old_d is None:
-                    self.undecided_survivors += 1
-        self.decisions[i] = old_d
-        self.stability_broken = stability
-        self.proposal_changed = proposal
+            self._decide(i, d, old_d)
+
+    def _decide(self, i: int, old_d: int | None, d: int | None) -> None:
+        """Move process ``i``'s decision from ``old_d`` to a different ``d``,
+        keeping the counts in step."""
+        if old_d is not None:
+            count = self.ever[old_d] - 1
+            if count:
+                self.ever[old_d] = count
+            else:
+                del self.ever[old_d]
+        if d is not None:
+            self.ever[d] = self.ever.get(d, 0) + 1
+        if i in self.correct:
+            if old_d is None:
+                self.undecided_survivors -= 1
+            elif d is None:
+                self.undecided_survivors += 1
+        self.decisions[i] = d
 
     def classify(self) -> str:
         """'fail' | 'undecided' | 'decided' for the current sequence."""
@@ -725,59 +753,65 @@ def _record_failure(
         failures.append(ClauseFailure(clause, detail, multiplicity, doc))
 
 
-class _TreeWalker:
-    """Shared machinery of the two preservation-claim walkers.
+class _TreeWalker(_ScheduleTree):
+    """A schedule tree walked under one preservation claim.
 
-    Maintains the current schedule, per-process states, observable letters,
-    transit list and predicate monitor; subclasses implement the per-step
-    clause checks and the per-node slow-path cross-check.
+    Adds the observable letters, the predicate monitor and the per-run
+    violations carried by the current path; subclasses implement the per-step
+    clause checks and the mapping half of the per-node slow-path
+    cross-check.  ``memo`` caches walked subtrees for the whole call;
+    ``tallies`` interns their (clause, detail) -> count tallies.
     """
+
+    c_clause: str
+    d_clause: str
 
     def __init__(
         self,
-        run_alg: Algorithm,
-        pattern: FailurePattern,
-        rep: History,
-        init: tuple[State, ...],
+        base_alg: Algorithm,
+        interp: Interpretation,
         v_tilde: Interpretation,
         predicate: ProblemPredicate,
-        use_monitor: bool,
-        strong: bool,
-        max_steps: int,
-        failures: list[ClauseFailure],
-        doc_history: History,
         thorough: bool,
+        failures: list[ClauseFailure],
+        memo: dict,
+        tallies: dict,
+        mapped_pattern: FailurePattern,
+        *tree,
     ):
-        self.run_alg = run_alg
-        self.pattern = pattern
-        self.rep = rep
-        self.init = init
+        super().__init__(*tree)
+        self.base_alg = base_alg
+        self.interp = interp
         self.v_tilde = v_tilde
         self.predicate = predicate
-        self.use_monitor = use_monitor
-        self.max_steps = max_steps
-        self.failures = failures
-        self.doc_history = doc_history
         self.thorough = thorough
-        self.n = pattern.n
-        self.horizon = pattern.horizon
-        self.faulty = pattern.faulty()
-        self.correct = pattern.correct()
-        self.live_at = tuple(pattern.live_at(t) for t in range(self.horizon + 1))
-        self.states: list[State] = list(init)
-        self.letters: list[str] = [v_tilde.of(i, s) for i, s in enumerate(init)]
+        self.failures = failures
+        self.memo = memo
+        self.tallies = tallies
+        self.mapped_pattern = mapped_pattern
+        self.use_monitor = type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
+        self.faulty = self.pattern.faulty()
+        self.letters: list[str] = [v_tilde.of(i, s) for i, s in enumerate(self.init)]
         self.w_stack: list[tuple[str, ...]] = [tuple(self.letters)]
-        self.transit: list[Message] = []
-        self.schedule: list[Step] = []
-        self.times: list[int] = []
         self.monitor = (
-            _AgreementMonitor(self.letters, self.correct, strong) if use_monitor else None
+            _AgreementMonitor(
+                self.letters,
+                self.pattern.correct(),
+                isinstance(predicate, StrongConsensusPredicate),
+            )
+            if self.use_monitor
+            else None
         )
-        self.delta_cache: dict = {}
+        self.sticky: list[tuple[str, str]] = []
         self.multiplier = 1
-        self.latest_failure: tuple[str, str] | None = None
+        #: (clause, detail) -> count recorded in the subtree being memoized;
+        #: None until the first violation.
+        self.tally: dict[tuple[str, str], int] | None = None
 
     # -- specialized by subclasses -------------------------------------------
+
+    def root_aligned(self) -> bool:
+        return True
 
     def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
         """Clause violations introduced by this step, and whether the
@@ -786,11 +820,24 @@ class _TreeWalker:
 
     def sticky_violations(self) -> list[tuple[str, str]]:
         """Per-run clause violations carried by the current path."""
-        raise NotImplementedError
+        return self.sticky
 
     def stutter_reference(self) -> tuple[tuple[str, ...], ...]:
         """The shorter observable sequence the current one must expand."""
         raise NotImplementedError
+
+    def memo_view(self, aligned: bool) -> dict | None:
+        return None
+
+    def memo_key(self, t: int, remaining: int) -> tuple:
+        raise NotImplementedError
+
+    def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
+        """Validate the current run and its mapped run from scratch and
+        compare with the fast path's clause verdicts (thorough)."""
+        raise NotImplementedError
+
+    # -- generic walk ---------------------------------------------------------
 
     def mapped_verdict_not_fail(self) -> bool:
         """Does the mapped run's observable sequence satisfy the problem (or
@@ -801,20 +848,8 @@ class _TreeWalker:
         f0 = self.mapped_pattern
         return self.predicate.evaluate(w0, f0) or self.predicate.undecided(w0, f0)
 
-    def slow_check(
-        self, aligned: bool, c_ok: bool, verdict: str, violations: list
-    ) -> None:
-        """Re-derive this node's verdicts from scratch and compare (thorough)."""
-        raise NotImplementedError
-
-    def memo_enabled(self) -> bool:
-        return False
-
-    # -- generic walk ---------------------------------------------------------
-
-    def classify_node(self) -> str:
-        if self.monitor is not None:
-            return self.monitor.classify()
+    def predicate_verdict(self) -> str:
+        """'fail' | 'undecided' | 'decided' for the current sequence, directly."""
         w = tuple(self.w_stack)
         if self.predicate.evaluate(w, self.pattern):
             return "decided"
@@ -822,19 +857,24 @@ class _TreeWalker:
             return "undecided"
         return "fail"
 
-    def record(self, clause: str, detail: str) -> None:
-        def doc_factory() -> dict:
-            run = Run(
-                self.pattern,
-                self.doc_history,
-                self.init,
-                tuple(self.schedule),
-                tuple(self.times),
-            )
-            return run_to_doc(run, self.run_alg)
+    def classify_node(self) -> str:
+        if self.monitor is not None:
+            return self.monitor.classify()
+        return self.predicate_verdict()
 
-        self.latest_failure = (clause, detail)
-        _record_failure(self.failures, clause, detail, self.multiplier, doc_factory)
+    def record(self, clause: str, detail: str) -> None:
+        tally = self.tally
+        if tally is None:
+            tally = self.tally = {}
+        pair = (clause, detail)
+        tally[pair] = tally.get(pair, 0) + 1
+        _record_failure(
+            self.failures,
+            clause,
+            detail,
+            self.multiplier,
+            lambda: run_to_doc(self.run(), self.alg),
+        )
 
     def account_node(self, totals: _WalkTotals, aligned: bool) -> None:
         totals.nodes += 1
@@ -867,130 +907,99 @@ class _TreeWalker:
         if self.thorough:
             self.slow_check(aligned, c_ok, verdict, violations)
 
-    def walk_window(self, window_start: int, totals: _WalkTotals) -> None:
-        if window_start == 0:
-            self.account_node(totals, aligned=self.root_aligned())
-        self.expand(totals, window_start, self.root_aligned())
+    def slow_check(
+        self, aligned: bool, c_ok: bool, verdict: str, violations: list
+    ) -> None:
+        """Re-derive this node's verdicts from scratch and compare (thorough)."""
+        self.check_mapping(self.run(), {clause for clause, _ in violations})
+        slow_c = is_stutter(self.stutter_reference(), tuple(self.w_stack))
+        if aligned:
+            assert slow_c, "aligned paths must stutter-embed"
+        else:
+            assert slow_c == c_ok
+        slow_verdict = self.predicate_verdict()
+        assert slow_verdict == verdict, f"{slow_verdict} != {verdict}"
+        fast_d = any(clause == self.d_clause for clause, _ in violations)
+        assert fast_d == (slow_verdict == "fail" and self.mapped_verdict_not_fail())
 
-    def root_aligned(self) -> bool:
-        return True
+    def walk(self, totals: _WalkTotals) -> None:
+        """Account the root once, then every window offset's subtree."""
+        aligned = self.root_aligned()
+        self.account_node(totals, aligned)
+        for window_start in range(self.horizon + 1):
+            self.expand(totals, window_start, aligned)
 
     def expand(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
+        """Walk the children at time ``t``, or credit them from the memo.
+
+        A memo entry holds the subtree's totals and its (clause, detail)
+        tally; a hit replays the tally at this walker's multiplier.  Either
+        way the tally joins the tally of the subtree being memoized around it.
+        """
         depth = len(self.schedule)
         if depth >= self.max_steps or t > self.horizon:
             return
         memo = self.memo_view(aligned)
-        if memo is not None:
-            remaining = min(self.max_steps - depth, self.horizon + 1 - t)
-            key = self.memo_key(t, remaining)
-            hit = memo.get(key)
-            if hit is not None:
-                nodes, violations, decided, undecided, detail = hit
-                totals.nodes += nodes
-                totals.violations += violations
-                totals.decided += decided
-                totals.undecided += undecided
-                if violations and detail is not None:
-                    self.latest_failure = detail
-                    _record_failure(
-                        self.failures, detail[0], detail[1], violations * self.multiplier
-                    )
-                return
-            snap = (totals.nodes, totals.violations, totals.decided, totals.undecided)
-            saved_latest = self.latest_failure
-            self.latest_failure = None
+        if memo is None:
             self.expand_children(totals, t, aligned)
+            return
+        key = self.memo_key(t, min(self.max_steps - depth, self.horizon + 1 - t))
+        hit = memo.get(key)
+        if hit is None:
+            outer = self.tally
+            self.tally = None
+            snap = (totals.nodes, totals.violations, totals.decided, totals.undecided)
+            self.expand_children(totals, t, aligned)
+            tally = self.tally
+            if tally is not None:
+                tally = tuple(tally.items())
+                tally = self.tallies.setdefault(tally, tally)
             memo[key] = (
                 totals.nodes - snap[0],
                 totals.violations - snap[1],
                 totals.decided - snap[2],
                 totals.undecided - snap[3],
-                self.latest_failure,
+                tally,
             )
-            if self.latest_failure is None:
-                self.latest_failure = saved_latest
-            return
-        self.expand_children(totals, t, aligned)
-
-    def memo_view(self, aligned: bool) -> dict | None:
-        return None
-
-    def memo_key(self, t: int, remaining: int) -> tuple:
-        raise NotImplementedError
+            self.tally = outer
+        else:
+            nodes, violations, decided, undecided, tally = hit
+            totals.nodes += nodes
+            totals.violations += violations
+            totals.decided += decided
+            totals.undecided += undecided
+            for (clause, detail), count in tally or ():
+                _record_failure(self.failures, clause, detail, count * self.multiplier)
+        if tally is not None:
+            merged = self.tally if self.tally is not None else {}
+            for pair, count in tally:
+                merged[pair] = merged.get(pair, 0) + count
+            self.tally = merged
 
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
-        crashed = self.pattern.crashed_at(t)
-        transit = self.transit
-        for actor in range(self.n):
-            if actor in crashed:
-                continue
-            suspects = self.rep.at(actor, t)
-            pre = self.states[actor]
-            for received in _receive_options(transit, actor):
-                transmission = None if received is None else received.transmission()
-                cache_key = (actor, pre, transmission, suspects)
-                try:
-                    result = self.delta_cache[cache_key]
-                except KeyError:
-                    result = self.run_alg.transition(actor, pre, transmission, suspects)
-                    self.delta_cache[cache_key] = result
-                if result is None:
-                    continue
-                post, dispatch = result
-                sent = (
-                    None
-                    if dispatch is None
-                    else Message(actor, dispatch[0], dispatch[1], len(self.times) * self.n + actor)
-                )
-                step = Step(actor, pre, received, suspects, post, sent)
-                new_letter = self.v_tilde.of(actor, post)
+        letters = self.letters
+        monitor = self.monitor
+        sticky = self.sticky
+        for step in self.children(t):
+            actor = step.actor
+            new_letter = self.v_tilde.of(actor, step.post)
+            old_letter = letters[actor]
+            letters[actor] = new_letter
+            self.w_stack.append(tuple(letters))
+            token = monitor.push(actor, new_letter) if monitor is not None else None
 
-                self.schedule.append(step)
-                self.times.append(t)
-                self.states[actor] = post
-                old_letter = self.letters[actor]
-                self.letters[actor] = new_letter
-                self.w_stack.append(tuple(self.letters))
-                removed_at = 0
-                if received is not None:
-                    removed_at = transit.index(received)
-                    del transit[removed_at]
-                if sent is not None:
-                    transit.append(sent)
-                token = (
-                    self.monitor.push(actor, new_letter)
-                    if self.monitor is not None
-                    else None
-                )
+            step_viols, still_aligned = self.step_violations(step, aligned)
+            sticky.extend(step_viols)
+            child_aligned = aligned and still_aligned
+            self.account_node(totals, child_aligned)
+            self.expand(totals, t + 1, child_aligned)
 
-                step_viols, still_aligned = self.step_violations(step, aligned)
-                for clause, detail in step_viols:
-                    self.push_sticky(clause, detail)
-                child_aligned = aligned and still_aligned
-
-                self.account_node(totals, child_aligned)
-                self.expand(totals, t + 1, child_aligned)
-
-                for _ in step_viols:
-                    self.pop_sticky()
-                if token is not None:
-                    self.monitor.pop(token)
-                if sent is not None:
-                    transit.pop()
-                if received is not None:
-                    transit.insert(removed_at, received)
-                self.w_stack.pop()
-                self.letters[actor] = old_letter
-                self.states[actor] = pre
-                self.times.pop()
-                self.schedule.pop()
-
-    # sticky per-run violations are kept as a stack of (clause, detail)
-    def push_sticky(self, clause: str, detail: str) -> None:
-        self._sticky.append((clause, detail))
-
-    def pop_sticky(self) -> None:
-        self._sticky.pop()
+            if step_viols:
+                del sticky[len(sticky) - len(step_viols):]
+            if token is not None:
+                monitor.pop(token)
+            self.w_stack.pop()
+            letters[actor] = old_letter
 
 
 class _SosWalker(_TreeWalker):
@@ -999,38 +1008,32 @@ class _SosWalker(_TreeWalker):
     c_clause = "sos-c-stutter-relation"
     d_clause = "sos-d-problem-holds"
 
-    def __init__(
-        self,
-        base_alg: Algorithm,
-        interp: Interpretation,
-        init_b_mismatches: int,
-        memo: dict | None,
-        *args,
-        **kwargs,
-    ):
-        super().__init__(*args, **kwargs)
-        self.base_alg = base_alg
-        self.interp = interp
-        self.init_b_mismatches = init_b_mismatches
-        self._memo = memo
-        self.frozen_letters = tuple(
-            interp.of(i, s) for i, s in enumerate(self.init)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.live_at = tuple(self.pattern.live_at(t) for t in range(self.horizon + 1))
+        self.frozen_letters = tuple(self.interp.of(i, s) for i, s in enumerate(self.init))
+        self.init_b_mismatches = sum(
+            1 for i, s in enumerate(self.init) if self.v_tilde.of(i, s) != self.frozen_letters[i]
         )
-        self._sticky: list[tuple[str, str]] = []
-        self.mapped_pattern = initial_crash_scenario(self.pattern)
+        # A subtree's outcome depends on the history only through the cells
+        # live processes read, so the memo is sound only while those all hold
+        # the horizon-faulty set, as the memo key assumes.
+        self.memoize = (
+            not self.thorough
+            and self.use_monitor
+            and not self.init_b_mismatches
+            and all(
+                self.history.at(p, t) == self.faulty
+                for t in range(self.horizon + 1)
+                for p in self.live_at[t]
+            )
+        )
 
     def root_aligned(self) -> bool:
         return self.init_b_mismatches == 0
 
     def memo_view(self, aligned: bool) -> dict | None:
-        if (
-            self._memo is not None
-            and aligned
-            and self.use_monitor
-            and not self._sticky
-        ):
-            return self._memo
-        return None
+        return self.memo if self.memoize and aligned and not self.sticky else None
 
     def memo_key(self, t: int, remaining: int) -> tuple:
         live_suffix = tuple(self.live_at[u] for u in range(t, t + remaining))
@@ -1084,8 +1087,8 @@ class _SosWalker(_TreeWalker):
 
     def sticky_violations(self) -> list[tuple[str, str]]:
         if not self.init_b_mismatches:
-            return self._sticky
-        return self._sticky + [
+            return self.sticky
+        return self.sticky + [
             (
                 "sos-b-interpretation-equality",
                 "derived interpretation disagrees on an initial state",
@@ -1102,22 +1105,12 @@ class _SosWalker(_TreeWalker):
             rows.append(tuple(self.interp.of(i, s) for i, s in enumerate(states)))
         return tuple(rows)
 
-    def slow_check(
-        self, aligned: bool, c_ok: bool, verdict: str, violations: list
-    ) -> None:
-        run = Run(
-            self.pattern,
-            self.doc_history,
-            self.init,
-            tuple(self.schedule),
-            tuple(self.times),
-        )
+    def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         report = validate_run(
-            run, self.run_alg, FDSpec.foresight(), ValidationMode.PREFIX_CONSISTENT
+            run, self.alg, FDSpec.foresight(), ValidationMode.PREFIX_CONSISTENT
         )
         assert report.valid, f"engine produced an invalid run: {report.violations}"
 
-        fast_clauses = {clause for clause, _ in violations}
         base_run = None
         try:
             stripped = strip_faulty_steps(run)
@@ -1149,23 +1142,6 @@ class _SosWalker(_TreeWalker):
                     b_ok = False
         assert b_ok == ("sos-b-interpretation-equality" not in fast_clauses)
 
-        slow_c = is_stutter(self.stutter_reference(), tuple(self.w_stack))
-        if aligned:
-            assert slow_c, "aligned paths must stutter-embed"
-        else:
-            assert slow_c == c_ok
-
-        w = tuple(self.w_stack)
-        if self.predicate.evaluate(w, self.pattern):
-            slow_verdict = "decided"
-        elif self.predicate.undecided(w, self.pattern):
-            slow_verdict = "undecided"
-        else:
-            slow_verdict = "fail"
-        assert slow_verdict == verdict, f"{slow_verdict} != {verdict}"
-        fast_d = self.d_clause in fast_clauses
-        assert fast_d == (slow_verdict == "fail" and self.mapped_verdict_not_fail())
-
 
 class _DasWalker(_TreeWalker):
     """Clause checks for the delay wrapper under the accurate-after oracle."""
@@ -1173,22 +1149,10 @@ class _DasWalker(_TreeWalker):
     c_clause = "das-c-stutter-relation"
     d_clause = "das-d-problem-holds"
 
-    def __init__(
-        self,
-        base_alg: Algorithm,
-        interp: Interpretation,
-        k: int,
-        time_shift: bool,
-        *args,
-        **kwargs,
-    ):
-        super().__init__(*args, **kwargs)
-        self.base_alg = base_alg
-        self.interp = interp
+    def __init__(self, k: int, time_shift: bool, *args):
+        super().__init__(*args)
         self.k = k
         self.time_shift = time_shift
-        self._sticky: list[tuple[str, str]] = []
-        self.mapped_pattern = shift_pattern(self.pattern) if time_shift else self.pattern
         self.init_c_mismatches = sum(
             1
             for i, s in enumerate(self.init)
@@ -1200,20 +1164,12 @@ class _DasWalker(_TreeWalker):
         return self.init_c_mismatches == 0
 
     def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
-        out: list[tuple[str, str]] = []
-        still_aligned = True
         actor = step.actor
         if isinstance(step.pre, DelayState):
             assert step.received is None and step.sent is None
             # the dropped no-op must not move the observable letter
-            if self.letters[actor] != self.v_tilde.of(actor, step.pre):
-                still_aligned = False
-        elif self.letters[actor] != self.interp.of(actor, step.post):
-            still_aligned = False
-        return out, still_aligned
-
-    def sticky_violations(self) -> list[tuple[str, str]]:
-        return self._sticky
+            return [], self.letters[actor] == self.v_tilde.of(actor, step.pre)
+        return [], self.letters[actor] == self.interp.of(actor, step.post)
 
     def stutter_reference(self) -> tuple[tuple[str, ...], ...]:
         states = [s.base if isinstance(s, DelayState) else s for s in self.init]
@@ -1225,19 +1181,10 @@ class _DasWalker(_TreeWalker):
             rows.append(tuple(self.interp.of(i, s) for i, s in enumerate(states)))
         return tuple(rows)
 
-    def slow_check(
-        self, aligned: bool, c_ok: bool, verdict: str, violations: list
-    ) -> None:
-        run = Run(
-            self.pattern,
-            self.doc_history,
-            self.init,
-            tuple(self.schedule),
-            tuple(self.times),
-        )
+    def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         report = validate_run(
             run,
-            self.run_alg,
+            self.alg,
             FDSpec.accurate_after(self.k + 1),
             ValidationMode.PREFIX_CONSISTENT,
         )
@@ -1256,22 +1203,89 @@ class _DasWalker(_TreeWalker):
         assert not structural, f"mapped run structurally invalid: {structural}"
         assert interpret_run(mapped, self.interp) == self.stutter_reference()
 
-        slow_c = is_stutter(self.stutter_reference(), tuple(self.w_stack))
-        if aligned:
-            assert slow_c, "aligned paths must stutter-embed"
-        else:
-            assert slow_c == c_ok
 
-        w = tuple(self.w_stack)
-        if self.predicate.evaluate(w, self.pattern):
-            slow_verdict = "decided"
-        elif self.predicate.undecided(w, self.pattern):
-            slow_verdict = "undecided"
-        else:
-            slow_verdict = "fail"
-        assert slow_verdict == verdict, f"{slow_verdict} != {verdict}"
-        fast_d = any(clause == self.d_clause for clause, _ in violations)
-        assert fast_d == (slow_verdict == "fail" and self.mapped_verdict_not_fail())
+def _verify_claim(
+    theorem: str,
+    base_alg: Algorithm,
+    run_alg: Algorithm,
+    fd: FDSpec,
+    k: int | None,
+    bounds: EnumerationBounds,
+    thorough: bool,
+    started: float,
+    *,
+    map_pattern: Callable[[FailurePattern], FailurePattern],
+    membership: Callable[[History, FailurePattern], MembershipVerdict],
+    membership_clause: str,
+    membership_subject: str,
+    make_walker: Callable[..., _TreeWalker],
+) -> TheoremReport:
+    """Walk every run of the wrapped machine ``run_alg`` under ``fd`` and
+    check one preservation claim.
+
+    Per pattern, ``map_pattern`` gives the mapped run's pattern.  Per history
+    group, every member is judged by ``membership`` against it, and one
+    walker per initial-state choice walks the group's representative on
+    behalf of all members.
+    """
+    patterns, inits, families = _run_space(run_alg, bounds)
+    totals = _WalkTotals()
+    failures: list[ClauseFailure] = []
+    checked_histories = 0
+    delta_cache: dict = {}
+    memo: dict = {}
+    tallies: dict = {}
+
+    for pattern in patterns:
+        mapped_pattern = map_pattern(pattern)
+        for rep, members in history_groups(fd, pattern, bounds.history_budget):
+            checked_histories += len(members)
+            bad_memberships = []
+            for h in members:
+                verdict = membership(h, mapped_pattern)
+                if not verdict.prefix_consistent:
+                    v = verdict.violations[0]
+                    bad_memberships.append(
+                        f"{membership_subject} breaks {v.condition} "
+                        f"(observer {v.observer}, subject {v.subject}, t={v.time})"
+                    )
+            group = _WalkTotals()
+            for init in inits:
+                walker = make_walker(
+                    failures,
+                    memo,
+                    tallies,
+                    mapped_pattern,
+                    run_alg,
+                    pattern,
+                    rep,
+                    init,
+                    bounds.max_steps,
+                    delta_cache,
+                )
+                walker.multiplier = len(members)
+                walker.walk(group)
+            totals.add_scaled(group, len(members))
+            for detail in bad_memberships:
+                totals.violations += group.nodes
+                _record_failure(failures, membership_clause, detail, group.nodes)
+
+    return TheoremReport(
+        theorem=theorem,
+        algorithm=base_alg.name,
+        fd=fd.serialize(),
+        k=k,
+        bounds=bounds.to_dict(),
+        families=families,
+        checked_runs=totals.nodes,
+        checked_histories=checked_histories,
+        failure_count=totals.violations,
+        failures=failures[:MAX_RECORDED_FAILURES],
+        decided_runs=totals.decided,
+        undecided_runs=totals.undecided,
+        thorough=thorough,
+        elapsed_seconds=time.perf_counter() - started,
+    )
 
 
 def verify_sos(
@@ -1302,101 +1316,27 @@ def verify_sos(
     (used to demonstrate that a broken derivation is caught).  ``thorough``
     re-derives every node verdict from scratch and disables memoization.
     """
-    t0 = time.perf_counter()
+    started = time.perf_counter()
     interp.check_initial_cover(base_alg.initial_states)
-    sos_alg = stall_on_suspect(base_alg)
     v_tilde = (
         derived_interp
         if derived_interp is not None
         else derive_interpretation_sos(interp, base_alg)
     )
-    fd = FDSpec.foresight()
-    inits = bounds.inits if bounds.inits is not None else init_combinations(sos_alg)
-    families = _ensure_within_cap(bounds, len(inits))
-    patterns = (
-        bounds.patterns
-        if bounds.patterns is not None
-        else all_monotone_patterns(bounds.n, bounds.horizon)
-    )
-    use_monitor = type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
-    strong = isinstance(predicate, StrongConsensusPredicate)
-
-    totals = _WalkTotals()
-    failures: list[ClauseFailure] = []
-    checked_runs = 0
-    checked_histories = 0
-    memo: dict = {}
-    delta_cache: dict = {}
-
-    for pattern in patterns:
-        faulty = pattern.faulty()
-        f0 = initial_crash_scenario(pattern)
-        for rep, members in history_groups(fd, pattern, bounds.history_budget):
-            checked_histories += len(members)
-            bad_memberships = []
-            for h in members:
-                verdict = history_in_p(h, f0)
-                if not verdict.prefix_consistent:
-                    v = verdict.violations[0]
-                    bad_memberships.append(
-                        f"stripped-run history breaks {v.condition} "
-                        f"(observer {v.observer}, subject {v.subject}, t={v.time})"
-                    )
-            fd_constant = all(
-                rep.at(p, t) == faulty
-                for t in range(pattern.horizon + 1)
-                for p in pattern.live_at(t)
-            )
-            group = _WalkTotals()
-            for init in inits:
-                init_b_mismatches = sum(
-                    1 for i, s in enumerate(init) if v_tilde.of(i, s) != interp.of(i, s)
-                )
-                walker = _SosWalker(
-                    base_alg,
-                    interp,
-                    init_b_mismatches,
-                    memo if (fd_constant and not thorough and not init_b_mismatches) else None,
-                    sos_alg,
-                    pattern,
-                    rep,
-                    init,
-                    v_tilde,
-                    predicate,
-                    use_monitor,
-                    strong,
-                    bounds.max_steps,
-                    failures,
-                    members[0],
-                    thorough,
-                )
-                walker.delta_cache = delta_cache
-                walker.multiplier = len(members)
-                for window_start in range(pattern.horizon + 1):
-                    walker.walk_window(window_start, group)
-            checked_runs += group.nodes * len(members)
-            totals.add_scaled(group, len(members))
-            for detail in bad_memberships:
-                totals.violations += group.nodes
-                _record_failure(
-                    failures, "sos-a-history-membership", detail, group.nodes
-                )
-
-    return TheoremReport(
-        theorem="sos-preservation",
-        algorithm=base_alg.name,
-        fd=fd.serialize(),
-        k=None,
-        bounds=bounds.to_dict(),
-        families=families,
-        checked_runs=checked_runs,
-        checked_histories=checked_histories,
-        failure_count=totals.violations,
-        failures=failures[:MAX_RECORDED_FAILURES],
-        decided_runs=totals.decided,
-        undecided_runs=totals.undecided,
-        thorough=thorough,
-        elapsed_seconds=time.perf_counter() - t0,
+    return _verify_claim(
+        "sos-preservation",
+        base_alg,
+        stall_on_suspect(base_alg),
+        FDSpec.foresight(),
+        None,
+        bounds,
+        thorough,
+        started,
+        map_pattern=initial_crash_scenario,
+        membership=lambda h, f0: history_in_p(h, f0),
+        membership_clause="sos-a-history-membership",
+        membership_subject="stripped-run history",
+        make_walker=partial(_SosWalker, base_alg, interp, v_tilde, predicate, thorough),
     )
 
 
@@ -1417,7 +1357,9 @@ def verify_das(
 
     a. dropping each process's leading no-op and moving every remaining step
        one time point earlier yields a structurally valid run of the wrapped
-       algorithm;
+       algorithm.  This holds by construction of ``delay_a_step`` (each
+       process's first step is the no-op), so it is asserted only when
+       ``thorough`` is set;
     h. the shifted history is a safe member of the accurate-after-``k``
        class for the shifted pattern;
     c. the mapped run's observable sequence stutter-embeds into the wrapper
@@ -1430,88 +1372,31 @@ def verify_das(
     membership clause, demonstrating that the shift is what makes clause (h)
     hold.  ``thorough`` re-derives every node verdict from scratch.
     """
-    t0 = time.perf_counter()
+    started = time.perf_counter()
     interp.check_initial_cover(base_alg.initial_states)
-    das_alg = delay_a_step(base_alg)
     v_tilde = (
         derived_interp
         if derived_interp is not None
         else derive_interpretation_das(interp, base_alg)
     )
-    fd = FDSpec.accurate_after(k + 1)
-    inits = bounds.inits if bounds.inits is not None else init_combinations(das_alg)
-    families = _ensure_within_cap(bounds, len(inits))
-    patterns = (
-        bounds.patterns
-        if bounds.patterns is not None
-        else all_monotone_patterns(bounds.n, bounds.horizon)
-    )
-    use_monitor = type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
-    strong = isinstance(predicate, StrongConsensusPredicate)
 
-    totals = _WalkTotals()
-    failures: list[ClauseFailure] = []
-    checked_runs = 0
-    checked_histories = 0
-    delta_cache: dict = {}
+    def membership(h: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
+        return history_in_pk(shift_history(h) if time_shift else h, mapped_pattern, k)
 
-    for pattern in patterns:
-        mapped_pattern = shift_pattern(pattern) if time_shift else pattern
-        for rep, members in history_groups(fd, pattern, bounds.history_budget):
-            checked_histories += len(members)
-            bad_memberships = []
-            for h in members:
-                mapped_h = shift_history(h) if time_shift else h
-                verdict = history_in_pk(mapped_h, mapped_pattern, k)
-                if not verdict.prefix_consistent:
-                    v = verdict.violations[0]
-                    bad_memberships.append(
-                        f"mapped history breaks {v.condition} "
-                        f"(observer {v.observer}, subject {v.subject}, t={v.time})"
-                    )
-            group = _WalkTotals()
-            for init in inits:
-                walker = _DasWalker(
-                    base_alg,
-                    interp,
-                    k,
-                    time_shift,
-                    das_alg,
-                    pattern,
-                    rep,
-                    init,
-                    v_tilde,
-                    predicate,
-                    use_monitor,
-                    strong,
-                    bounds.max_steps,
-                    failures,
-                    members[0],
-                    thorough,
-                )
-                walker.delta_cache = delta_cache
-                walker.multiplier = len(members)
-                for window_start in range(pattern.horizon + 1):
-                    walker.walk_window(window_start, group)
-            checked_runs += group.nodes * len(members)
-            totals.add_scaled(group, len(members))
-            for detail in bad_memberships:
-                totals.violations += group.nodes
-                _record_failure(failures, "das-h-history-membership", detail, group.nodes)
-
-    return TheoremReport(
-        theorem="das-preservation",
-        algorithm=base_alg.name,
-        fd=fd.serialize(),
-        k=k,
-        bounds=bounds.to_dict(),
-        families=families,
-        checked_runs=checked_runs,
-        checked_histories=checked_histories,
-        failure_count=totals.violations,
-        failures=failures[:MAX_RECORDED_FAILURES],
-        decided_runs=totals.decided,
-        undecided_runs=totals.undecided,
-        thorough=thorough,
-        elapsed_seconds=time.perf_counter() - t0,
+    return _verify_claim(
+        "das-preservation",
+        base_alg,
+        delay_a_step(base_alg),
+        FDSpec.accurate_after(k + 1),
+        k,
+        bounds,
+        thorough,
+        started,
+        map_pattern=shift_pattern if time_shift else (lambda pattern: pattern),
+        membership=membership,
+        membership_clause="das-h-history-membership",
+        membership_subject="mapped history",
+        make_walker=partial(
+            _DasWalker, k, time_shift, base_alg, interp, v_tilde, predicate, thorough
+        ),
     )

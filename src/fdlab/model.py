@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import DomainMismatch, MismatchedPreState, NoSuchInTransitMessage
@@ -275,10 +276,7 @@ class Algorithm(ABC):
         for j in range(self.n):
             if j != i:
                 receipts.extend((j, payload) for payload in self.payload_alphabet(j))
-        suspect_sets = [
-            frozenset(s)
-            for s in _subsets(range(self.n))
-        ]
+        suspect_sets = [frozenset(s) for s in _sorted_subsets(self.n)]
         seen: set[State] = set(self.initial_states(i))
         frontier = list(seen)
         while frontier:
@@ -295,12 +293,23 @@ class Algorithm(ABC):
         return tuple(sorted(seen, key=self.state_str))
 
 
-def _subsets(items: Iterable[int]) -> list[tuple[int, ...]]:
-    pool = sorted(items)
+def _sorted_subsets(n: int) -> list[tuple[int, ...]]:
+    """Every subset of ``0..n-1``, by size and then lexicographically."""
     out: list[tuple[int, ...]] = [()]
-    for item in pool:
-        out.extend(subset + (item,) for subset in list(out))
-    return sorted(out)
+    for p in range(n):
+        out.extend(subset + (p,) for subset in list(out))
+    return sorted(out, key=lambda s: (len(s), s))
+
+
+def all_monotone_patterns(n: int, horizon: int) -> tuple[FailurePattern, ...]:
+    """Every monotone crash pattern, ordered by per-process crash times
+    (never-crashing first)."""
+    choices: tuple[int | None, ...] = (None,) + tuple(range(horizon + 1))
+    out = []
+    for times in product(choices, repeat=n):
+        crash_times = {p: t for p, t in enumerate(times) if t is not None}
+        out.append(FailurePattern.from_crash_times(n, horizon, crash_times))
+    return tuple(out)
 
 
 def apply_step(config: Configuration, step: Step) -> Configuration:

@@ -21,7 +21,7 @@ from .errors import (
     StutterDepthExceeded,
     UncoveredState,
 )
-from .model import FailurePattern, Run, State, config_sequence
+from .model import FailurePattern, Run, State, all_monotone_patterns, config_sequence
 
 __all__ = [
     "ProblemState",
@@ -419,15 +419,6 @@ def _problem_seqs(
                 stack.extend((w + (row,)) for row in reversed(rows))
 
 
-def _all_patterns(n: int, horizon: int) -> list[FailurePattern]:
-    choices: list[int | None] = [None] + list(range(horizon + 1))
-    out = []
-    for times in product(choices, repeat=n):
-        crash_times = {p: t for p, t in enumerate(times) if t is not None}
-        out.append(FailurePattern.from_crash_times(n, horizon, crash_times))
-    return out
-
-
 def check_crash_time_independence(
     pred: ProblemPredicate,
     n: int,
@@ -441,7 +432,7 @@ def check_crash_time_independence(
     crash pattern; within each group of patterns sharing a survivor set the
     verdict must be constant.  Returns the first witness found, or None.
     """
-    patterns = _all_patterns(n, horizon)
+    patterns = all_monotone_patterns(n, horizon)
     groups: dict[frozenset[int], list[FailurePattern]] = {}
     for f in patterns:
         groups.setdefault(f.correct(), []).append(f)
@@ -475,7 +466,7 @@ def check_finite_stuttering(
     verdicts on the sequence and its expansion must agree.  Returns the first
     witness found, or None.
     """
-    patterns = _all_patterns(n, horizon)
+    patterns = all_monotone_patterns(n, horizon)
     seq_count = _seq_space_size(len(pred.sigma), len(pred.sigma_init), n, max_len)
     if seq_count * len(patterns) > eval_cap:
         raise BudgetExceeded(

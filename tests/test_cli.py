@@ -152,6 +152,12 @@ class TestVerify:
         assert code == 3
         assert "exceed the cap of 10" in capsys.readouterr().err
 
+    def test_malformed_run_cap_is_a_usage_error(self, capsys, monkeypatch) -> None:
+        monkeypatch.setenv("FDLAB_RUN_CAP", "abc")
+        code = main(["verify", "sos", "flood-consensus-p", "--n", "2", "--horizon", "2"])
+        assert code == 2
+        assert "FDLAB_RUN_CAP must be a non-negative integer" in capsys.readouterr().err
+
 
 class TestProbe:
     def test_no_violation_exits_zero(self, capsys) -> None:

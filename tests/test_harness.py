@@ -29,6 +29,7 @@ from fdlab.harness import (
     init_combinations,
 )
 from fdlab.traces import canonical_json, run_from_doc
+from fdlab.transforms import StallState, derive_interpretation_sos
 
 ALG, INTERP, PREDICATE = builtin_algorithm("flood-consensus-p", 2)
 FD = FDSpec.always_accurate()
@@ -44,6 +45,10 @@ class TestBounds:
             EnumerationBounds(n=2, horizon=2, max_steps=-1)
         with pytest.raises(DomainMismatch):
             EnumerationBounds(n=2, horizon=2, max_steps=2, history_budget=-1)
+        with pytest.raises(DomainMismatch, match="fairness window"):
+            EnumerationBounds(n=2, horizon=2, max_steps=3, fairness_window=0)
+        with pytest.raises(DomainMismatch, match="fairness window"):
+            EnumerationBounds(n=2, horizon=2, max_steps=3, fairness_window=-1)
 
     def test_cap_resolution_order(self, monkeypatch: pytest.MonkeyPatch) -> None:
         """Explicit cap beats the environment, which beats the default."""
@@ -52,6 +57,10 @@ class TestBounds:
         assert bounds.resolved_cap() == DEFAULT_RUN_CAP
         monkeypatch.setenv(RUN_CAP_ENV_VAR, "123")
         assert bounds.resolved_cap() == 123
+        for malformed in ("abc", "", "-5", "1e6"):
+            monkeypatch.setenv(RUN_CAP_ENV_VAR, malformed)
+            with pytest.raises(DomainMismatch, match=RUN_CAP_ENV_VAR):
+                bounds.resolved_cap()
         capped = EnumerationBounds(n=2, horizon=2, max_steps=2, run_cap=7)
         assert capped.resolved_cap() == 7
 
@@ -123,6 +132,21 @@ class TestEnumerateRuns:
         alg3, _, _ = builtin_algorithm("flood-consensus-p", 3)
         with pytest.raises(DomainMismatch):
             next(enumerate_runs(alg3, FD, self.BOUNDS))
+
+    def test_empty_run_space_is_refused(self) -> None:
+        """A check over no pattern or no initial states would examine nothing
+        and must not report success."""
+        no_patterns = EnumerationBounds(n=2, horizon=3, max_steps=3, patterns=())
+        no_inits = EnumerationBounds(n=2, horizon=3, max_steps=3, inits=())
+        for bounds in (no_patterns, no_inits):
+            with pytest.raises(DomainMismatch, match="admit no"):
+                next(enumerate_runs(ALG, FD, bounds))
+            with pytest.raises(DomainMismatch, match="admit no"):
+                check_solves(ALG, FD, INTERP, PREDICATE, bounds)
+            with pytest.raises(DomainMismatch, match="admit no"):
+                verify_sos(ALG, INTERP, PREDICATE, bounds)
+            with pytest.raises(DomainMismatch, match="admit no"):
+                verify_das(ALG, INTERP, PREDICATE, 0, bounds)
 
     def test_cap_refuses_before_any_work(self) -> None:
         bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, run_cap=10)
@@ -216,16 +240,33 @@ class TestCounterexampleProbe:
 class TestTheoremChecks:
     BOUNDS = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=1)
 
-    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
-    def test_stall_preservation_fast_equals_thorough(self, name: str) -> None:
-        """The memoized pass and the from-scratch pass agree exactly."""
+    @pytest.mark.parametrize(
+        "name, sabotaged",
+        [
+            pytest.param("flood-consensus-p", False, id="flood-consensus-p"),
+            pytest.param("strong-consensus-m", False, id="strong-consensus-m"),
+            pytest.param("flood-consensus-p", True, id="flood-consensus-p-sabotaged"),
+        ],
+    )
+    def test_stall_preservation_fast_equals_thorough(self, name: str, sabotaged: bool) -> None:
+        """The memoized pass and the from-scratch pass agree exactly, down to
+        every recorded failure's clause, detail, multiplicity and run.  The
+        sabotaged derivation (criterion 3's) makes memo hits carry failures."""
         alg, interp, predicate = builtin_algorithm(name, 2)
-        fast = verify_sos(alg, interp, predicate, self.BOUNDS)
-        slow = verify_sos(alg, interp, predicate, self.BOUNDS, thorough=True)
-        assert fast.ok and slow.ok
+        derived = None
+        if sabotaged:
+            q = alg.initial_states(0)[0]
+            wrong = "1|-" if interp.of(0, q) != "1|-" else "0|-"
+            derived = derive_interpretation_sos(interp, alg).replaced(0, StallState(q), wrong)
+        fast = verify_sos(alg, interp, predicate, self.BOUNDS, derived_interp=derived)
+        slow = verify_sos(
+            alg, interp, predicate, self.BOUNDS, derived_interp=derived, thorough=True
+        )
+        assert fast.ok == slow.ok == (not sabotaged)
         for field in ("checked_runs", "checked_histories", "failure_count",
                       "decided_runs", "undecided_runs", "families"):
             assert getattr(fast, field) == getattr(slow, field), field
+        assert [f.to_dict() for f in fast.failures] == [f.to_dict() for f in slow.failures]
 
     @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
     def test_delay_preservation_fast_equals_thorough(self, name: str) -> None:
