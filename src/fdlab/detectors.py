@@ -5,7 +5,7 @@ names on the wire:
 
 * ``P`` — never suspects a live process (checked at cells of live observers),
   and every crashed process ends up permanently suspected by every surviving
-  observer.
+  observer.  This is ``Pk:0`` and is computed as such.
 * ``M`` — tells every live process exactly the set of processes that will
   have crashed by the horizon, at every time point.  With
   ``marabout_strict_live`` false only surviving observers are constrained.
@@ -152,35 +152,10 @@ def _check_shapes(h: History, f: FailurePattern) -> None:
         )
 
 
-def _suffix_suspicions(
-    h: History, f: FailurePattern, condition: str
-) -> list[MembershipViolation]:
-    """Completeness debt: every faulty process suspected by every correct one
-    over a nonempty suffix ending at the horizon (equivalently, at the horizon)."""
-    out = []
-    horizon = f.horizon
-    for observer in sorted(f.correct()):
-        for subject in sorted(f.faulty()):
-            if subject not in h.at(observer, horizon):
-                out.append(MembershipViolation(condition, observer, subject, horizon))
-    return out
-
-
 def history_in_p(h: History, f: FailurePattern) -> MembershipVerdict:
-    """Judge ``h`` against the always-accurate, eventually-complete class."""
-    _check_shapes(h, f)
-    prefix: list[MembershipViolation] = []
-    for t in range(f.horizon + 1):
-        live = f.live_at(t)
-        for observer in sorted(live):
-            for subject in sorted(h.at(observer, t) & live):
-                prefix.append(MembershipViolation("accuracy", observer, subject, t))
-    suffix = _suffix_suspicions(h, f, "completeness")
-    return MembershipVerdict(
-        prefix_consistent=not prefix,
-        horizon_complete=not prefix and not suffix,
-        violations=tuple(prefix + suffix),
-    )
+    """Judge ``h`` against the always-accurate, eventually-complete class:
+    the lag-0 member of the accurate-after chain."""
+    return _accurate_after(h, f, 0, "accuracy")
 
 
 def history_in_m(h: History, f: FailurePattern, strict_live: bool = True) -> MembershipVerdict:
@@ -208,9 +183,21 @@ def history_in_pk(h: History, f: FailurePattern, k: int) -> MembershipVerdict:
     ``k`` and is still live now.  Liveness: every faulty process is suspected
     by every correct observer over a nonempty suffix ending at the horizon.
     """
-    _check_shapes(h, f)
+    return _accurate_after(h, f, k, "late-accuracy")
+
+
+def _check_k(k: int, f: FailurePattern) -> None:
     if k < 0 or k > f.horizon:
         raise KOutOfRange(f"stabilization time k={k} outside horizon 0..{f.horizon}")
+
+
+def _accurate_after(h: History, f: FailurePattern, k: int, accuracy: str) -> MembershipVerdict:
+    """Membership in the accurate-after-``k`` class, forbidden suspicions
+    named ``accuracy``.  The completeness debt: every faulty process is
+    suspected by every correct observer over a nonempty suffix ending at the
+    horizon (equivalently, at the horizon)."""
+    _check_shapes(h, f)
+    _check_k(k, f)
     protected_base = f.live_at(k)
     prefix: list[MembershipViolation] = []
     for t in range(f.horizon + 1):
@@ -218,8 +205,13 @@ def history_in_pk(h: History, f: FailurePattern, k: int) -> MembershipVerdict:
         protected = protected_base & live
         for observer in sorted(live):
             for subject in sorted(h.at(observer, t) & protected):
-                prefix.append(MembershipViolation("late-accuracy", observer, subject, t))
-    suffix = _suffix_suspicions(h, f, "completeness")
+                prefix.append(MembershipViolation(accuracy, observer, subject, t))
+    suffix = [
+        MembershipViolation("completeness", observer, subject, f.horizon)
+        for observer in sorted(f.correct())
+        for subject in sorted(f.faulty())
+        if subject not in h.at(observer, f.horizon)
+    ]
     return MembershipVerdict(
         prefix_consistent=not prefix,
         horizon_complete=not prefix and not suffix,
@@ -246,15 +238,12 @@ def canonical_history(spec: FDSpec, f: FailurePattern) -> History:
 
     Every cell is filled, including cells of crashed observers.
     """
-    if spec.kind == KIND_ALWAYS_ACCURATE:
-        return History.from_function(f.n, f.horizon, lambda p, t: f.crashed_at(t))
     if spec.kind == KIND_FORESIGHT:
         faulty = f.faulty()
         return History.from_function(f.n, f.horizon, lambda p, t: faulty)
-    k = spec.k
+    k = 0 if spec.kind == KIND_ALWAYS_ACCURATE else spec.k
     assert k is not None
-    if k < 0 or k > f.horizon:
-        raise KOutOfRange(f"stabilization time k={k} outside horizon 0..{f.horizon}")
+    _check_k(k, f)
     early = f.crashed_at(k)
     return History.from_function(f.n, f.horizon, lambda p, t: f.crashed_at(t) | early)
 
@@ -271,7 +260,7 @@ def perturbed_histories(spec: FDSpec, f: FailurePattern, budget: int) -> list[Hi
         raise DomainMismatch(f"negative deviation budget {budget}")
     base = canonical_history(spec, f)
     cells = [(p, t) for p in range(f.n) for t in range(f.horizon + 1)]
-    value_pool = [frozenset(s) for s in _sorted_subsets(f.n)]
+    value_pool = _sorted_subsets(f.n)
     out = [base]
     for count in range(1, budget + 1):
         for chosen in combinations(cells, count):

@@ -8,10 +8,13 @@ at consecutive times is a deliberate canonicalization — configurations do not
 depend on times, and the offset sweep still exercises every liveness/oracle
 context — and is reported as such.
 
-On top of the enumerator sit ``check_solves`` / ``counterexample_probe``
-(does an algorithm solve a problem over all fair bounded runs) and
-``verify_sos`` / ``verify_das`` (do the stall and delay wrappers preserve
-solvability, checked clause by clause on every run).  All of them expand the
+On top of the enumerator sit ``check_solves`` and ``counterexample_probe``:
+does an algorithm solve a problem over all fair bounded runs?  Both read one
+scan that yields each strict-fairness run with its verdict (decided,
+undecided or fail); the first tallies the verdicts, the second stops at the
+first failure.  ``verify_sos`` / ``verify_das`` check that the stall and
+delay wrappers preserve solvability, clause by clause on every run.  All of
+them expand the
 same schedule trees; the verifiers add incremental per-step checks and share
 one driver over patterns, history groups and initial states.
 ``thorough=True`` re-derives every per-node verdict from scratch through
@@ -53,6 +56,7 @@ from .problems import (
     ConsensusPredicate,
     Interpretation,
     ProblemPredicate,
+    ProblemSeq,
     StrongConsensusPredicate,
     agreement_state,
     interpret_run,
@@ -69,7 +73,7 @@ from .transforms import (
     strip_faulty_steps,
     to_initial_crash_run,
 )
-from .validation import ValidationMode, _step_gaps, validate_run
+from .validation import RunViolation, ValidationMode, _liveness_debts, validate_run
 
 __all__ = [
     "DEFAULT_RUN_CAP",
@@ -134,6 +138,8 @@ class EnumerationBounds:
             raise DomainMismatch(
                 f"fairness window must be positive, got {self.fairness_window}"
             )
+        if self.run_cap is not None and self.run_cap < 0:
+            raise DomainMismatch(f"run cap must be non-negative, got {self.run_cap}")
 
     def resolved_cap(self) -> int:
         if self.run_cap is not None:
@@ -349,29 +355,6 @@ class _ScheduleTree:
             yield from self._runs_below(t + 1)
 
 
-def _strict_fairness_debts(run: Run, fairness_window: int | None) -> list[str]:
-    """The liveness debts strict mode cares about, computed cheaply.
-
-    The enumerator only produces runs satisfying every safety condition, so
-    only message delivery to survivors and step fairness need checking here.
-    """
-    debts: list[str] = []
-    correct = run.pattern.correct()
-    consumed = {step.received for step in run.schedule if step.received is not None}
-    for step in run.schedule:
-        m = step.sent
-        if m is not None and m not in consumed and m.receiver in correct:
-            debts.append(f"message {m.tag} to survivor {m.receiver} undelivered")
-    window = fairness_window if fairness_window is not None else run.horizon + 1
-    for p in sorted(correct):
-        longest = _step_gaps(
-            [t for s, t in zip(run.schedule, run.times) if s.actor == p], run.horizon
-        )
-        if longest >= window:
-            debts.append(f"survivor {p} idle for {longest} time points")
-    return debts
-
-
 def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Iterator[Run]:
     """Every valid run within the bounds, in a fixed deterministic order.
 
@@ -388,13 +371,41 @@ def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Ite
             for init in inits:
                 tree = _ScheduleTree(alg, pattern, history, init, bounds.max_steps, delta_cache)
                 for run in tree.runs():
-                    if strict and _strict_fairness_debts(run, bounds.fairness_window):
-                        continue
+                    if strict:
+                        sent = [s.sent for s in run.schedule if s.sent is not None]
+                        consumed = {s.received for s in run.schedule if s.received is not None}
+                        debts = _liveness_debts(run, sent, consumed, bounds.fairness_window)
+                        if next(debts, None) is not None:
+                            continue
                     yield run
 
 
 # ---------------------------------------------------------------------------
 # Solvability over fair bounded runs.
+
+
+def _verdict(predicate: ProblemPredicate, w: ProblemSeq, pattern: FailurePattern) -> str:
+    """'decided', 'undecided' (safety holds but some survivor has not decided
+    by the horizon) or 'fail' for one observable sequence."""
+    if predicate.evaluate(w, pattern):
+        return "decided"
+    if predicate.undecided(w, pattern):
+        return "undecided"
+    return "fail"
+
+
+def _fair_verdicts(
+    alg: Algorithm,
+    fd: FDSpec,
+    interp: Interpretation,
+    predicate: ProblemPredicate,
+    strict_bounds: EnumerationBounds,
+) -> Iterator[tuple[Run, str]]:
+    """Each fair run within the strict-mode bounds, in enumeration order,
+    with its verdict."""
+    interp.check_initial_cover(alg.initial_states)
+    for run in enumerate_runs(alg, fd, strict_bounds):
+        yield run, _verdict(predicate, interpret_run(run, interp), run.pattern)
 
 
 @dataclass
@@ -450,32 +461,24 @@ def check_solves(
     ``require_quiescence`` is set, excluded from the verdict.
     """
     t0 = time.perf_counter()
-    interp.check_initial_cover(alg.initial_states)
     strict_bounds = replace(bounds, mode=ValidationMode.STRICT_FAIRNESS)
-    checked = decided = undecided = violations = 0
+    counts = {"decided": 0, "undecided": 0, "fail": 0}
+    failing = {"fail", "undecided"} if require_quiescence else {"fail"}
     counterexample: dict | None = None
-    for run in enumerate_runs(alg, fd, strict_bounds):
-        checked += 1
-        w = interpret_run(run, interp)
-        if predicate.evaluate(w, run.pattern):
-            decided += 1
-            continue
-        if predicate.undecided(w, run.pattern):
-            undecided += 1
-            if not require_quiescence:
-                continue
-        violations += 1
-        if counterexample is None:
+    for run, verdict in _fair_verdicts(alg, fd, interp, predicate, strict_bounds):
+        counts[verdict] += 1
+        if counterexample is None and verdict in failing:
             counterexample = run_to_doc(run, alg)
+    violations = sum(counts[verdict] for verdict in failing)
     return SolvesReport(
         algorithm=alg.name,
         fd=fd.serialize(),
         problem=predicate.name,
         bounds=strict_bounds.to_dict(),
         solves=violations == 0,
-        checked_runs=checked,
-        decided_runs=decided,
-        undecided_runs=undecided,
+        checked_runs=sum(counts.values()),
+        decided_runs=counts["decided"],
+        undecided_runs=counts["undecided"],
         violation_count=violations,
         require_quiescence=require_quiescence,
         counterexample=counterexample,
@@ -524,14 +527,12 @@ def counterexample_probe(
     """First fair run within bounds that genuinely violates the problem
     (undecided runs never count), or a report that none exists."""
     t0 = time.perf_counter()
-    interp.check_initial_cover(alg.initial_states)
     strict_bounds = replace(bounds, mode=ValidationMode.STRICT_FAIRNESS)
     checked = 0
     found: Run | None = None
-    for run in enumerate_runs(alg, fd, strict_bounds):
+    for run, verdict in _fair_verdicts(alg, fd, interp, predicate, strict_bounds):
         checked += 1
-        w = interpret_run(run, interp)
-        if not (predicate.evaluate(w, run.pattern) or predicate.undecided(w, run.pattern)):
+        if verdict == "fail":
             found = run
             break
     return ProbeReport(
@@ -757,7 +758,8 @@ class _TreeWalker(_ScheduleTree):
     """A schedule tree walked under one preservation claim.
 
     Adds the observable letters, the predicate monitor and the per-run
-    violations carried by the current path; subclasses implement the per-step
+    violations carried by the current path; subclasses say which initial
+    states and steps the run mapping changes, and implement the per-step
     clause checks and the mapping half of the per-node slow-path
     cross-check.  ``memo`` caches walked subtrees for the whole call;
     ``tallies`` interns their (clause, detail) -> count tallies.
@@ -776,10 +778,12 @@ class _TreeWalker(_ScheduleTree):
         failures: list[ClauseFailure],
         memo: dict,
         tallies: dict,
+        fd: FDSpec,
         mapped_pattern: FailurePattern,
         *tree,
     ):
         super().__init__(*tree)
+        self.fd = fd
         self.base_alg = base_alg
         self.interp = interp
         self.v_tilde = v_tilde
@@ -792,6 +796,11 @@ class _TreeWalker(_ScheduleTree):
         self.use_monitor = type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
         self.faulty = self.pattern.faulty()
         self.letters: list[str] = [v_tilde.of(i, s) for i, s in enumerate(self.init)]
+        self.mapped_init = tuple(self.mapped_state(s) for s in self.init)
+        #: the original letters of the mapped run's initial states
+        self.mapped_letters = tuple(interp.of(i, q) for i, q in enumerate(self.mapped_init))
+        #: processes whose first letter differs from their mapped one
+        self.init_mismatches = sum(a != b for a, b in zip(self.letters, self.mapped_letters))
         self.w_stack: list[tuple[str, ...]] = [tuple(self.letters)]
         self.monitor = (
             _AgreementMonitor(
@@ -810,8 +819,9 @@ class _TreeWalker(_ScheduleTree):
 
     # -- specialized by subclasses -------------------------------------------
 
-    def root_aligned(self) -> bool:
-        return True
+    def mapped_state(self, state: State) -> State:
+        """The mapped run's counterpart of an initial state."""
+        return state
 
     def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
         """Clause violations introduced by this step, and whether the
@@ -822,8 +832,8 @@ class _TreeWalker(_ScheduleTree):
         """Per-run clause violations carried by the current path."""
         return self.sticky
 
-    def stutter_reference(self) -> tuple[tuple[str, ...], ...]:
-        """The shorter observable sequence the current one must expand."""
+    def dropped(self, step: Step) -> bool:
+        """Does the run mapping drop this step?"""
         raise NotImplementedError
 
     def memo_view(self, aligned: bool) -> dict | None:
@@ -833,29 +843,40 @@ class _TreeWalker(_ScheduleTree):
         raise NotImplementedError
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
-        """Validate the current run and its mapped run from scratch and
-        compare with the fast path's clause verdicts (thorough)."""
+        """Validate the current run's mapped run from scratch and compare
+        with the fast path's clause verdicts (thorough)."""
         raise NotImplementedError
 
     # -- generic walk ---------------------------------------------------------
+
+    def stutter_reference(self) -> tuple[tuple[str, ...], ...]:
+        """The mapped run's observable sequence, which the current one must
+        expand."""
+        of, dropped = self.interp.of, self.dropped
+        states = list(self.mapped_init)
+        rows = [tuple(of(i, s) for i, s in enumerate(states))]
+        for step in self.schedule:
+            if not dropped(step):
+                states[step.actor] = step.post
+                rows.append(tuple(of(i, s) for i, s in enumerate(states)))
+        return tuple(rows)
+
+    def structural_violations(self, mapped: Run, fd: FDSpec) -> list[RunViolation]:
+        """Every violation of the mapped run under the wrapped algorithm
+        except history membership, which is a clause of its own."""
+        report = validate_run(mapped, self.base_alg, fd, ValidationMode.PREFIX_CONSISTENT)
+        return [v for v in report.violations if v.condition != "history-membership"]
 
     def mapped_verdict_not_fail(self) -> bool:
         """Does the mapped run's observable sequence satisfy the problem (or
         merely run out of horizon)?  Consulted only when the wrapper run's
         sequence fails: the preservation claim transfers satisfaction along
         the mapping, it does not manufacture it."""
-        w0 = self.stutter_reference()
-        f0 = self.mapped_pattern
-        return self.predicate.evaluate(w0, f0) or self.predicate.undecided(w0, f0)
+        return _verdict(self.predicate, self.stutter_reference(), self.mapped_pattern) != "fail"
 
     def predicate_verdict(self) -> str:
         """'fail' | 'undecided' | 'decided' for the current sequence, directly."""
-        w = tuple(self.w_stack)
-        if self.predicate.evaluate(w, self.pattern):
-            return "decided"
-        if self.predicate.undecided(w, self.pattern):
-            return "undecided"
-        return "fail"
+        return _verdict(self.predicate, tuple(self.w_stack), self.pattern)
 
     def classify_node(self) -> str:
         if self.monitor is not None:
@@ -911,7 +932,10 @@ class _TreeWalker(_ScheduleTree):
         self, aligned: bool, c_ok: bool, verdict: str, violations: list
     ) -> None:
         """Re-derive this node's verdicts from scratch and compare (thorough)."""
-        self.check_mapping(self.run(), {clause for clause, _ in violations})
+        run = self.run()
+        report = validate_run(run, self.alg, self.fd, ValidationMode.PREFIX_CONSISTENT)
+        assert report.valid, f"engine produced an invalid run: {report.violations}"
+        self.check_mapping(run, {clause for clause, _ in violations})
         slow_c = is_stutter(self.stutter_reference(), tuple(self.w_stack))
         if aligned:
             assert slow_c, "aligned paths must stutter-embed"
@@ -924,7 +948,7 @@ class _TreeWalker(_ScheduleTree):
 
     def walk(self, totals: _WalkTotals) -> None:
         """Account the root once, then every window offset's subtree."""
-        aligned = self.root_aligned()
+        aligned = not self.init_mismatches
         self.account_node(totals, aligned)
         for window_start in range(self.horizon + 1):
             self.expand(totals, window_start, aligned)
@@ -1011,26 +1035,19 @@ class _SosWalker(_TreeWalker):
     def __init__(self, *args):
         super().__init__(*args)
         self.live_at = tuple(self.pattern.live_at(t) for t in range(self.horizon + 1))
-        self.frozen_letters = tuple(self.interp.of(i, s) for i, s in enumerate(self.init))
-        self.init_b_mismatches = sum(
-            1 for i, s in enumerate(self.init) if self.v_tilde.of(i, s) != self.frozen_letters[i]
-        )
         # A subtree's outcome depends on the history only through the cells
         # live processes read, so the memo is sound only while those all hold
         # the horizon-faulty set, as the memo key assumes.
         self.memoize = (
             not self.thorough
             and self.use_monitor
-            and not self.init_b_mismatches
+            and not self.init_mismatches
             and all(
                 self.history.at(p, t) == self.faulty
                 for t in range(self.horizon + 1)
                 for p in self.live_at[t]
             )
         )
-
-    def root_aligned(self) -> bool:
-        return self.init_b_mismatches == 0
 
     def memo_view(self, aligned: bool) -> dict | None:
         return self.memo if self.memoize and aligned and not self.sticky else None
@@ -1062,12 +1079,12 @@ class _SosWalker(_TreeWalker):
                         f"eventually-faulty process {actor} sends a message",
                     )
                 )
-            if self.letters[actor] != self.frozen_letters[actor]:
+            if self.letters[actor] != self.mapped_letters[actor]:
                 out.append(
                     (
                         "sos-b-interpretation-equality",
                         f"stalled process {actor} shows {self.letters[actor]!r}, "
-                        f"its frozen view shows {self.frozen_letters[actor]!r}",
+                        f"its frozen view shows {self.mapped_letters[actor]!r}",
                     )
                 )
             if self.letters[actor] != self.v_tilde.of(actor, step.pre):
@@ -1086,7 +1103,7 @@ class _SosWalker(_TreeWalker):
         return out, still_aligned
 
     def sticky_violations(self) -> list[tuple[str, str]]:
-        if not self.init_b_mismatches:
+        if not self.init_mismatches:
             return self.sticky
         return self.sticky + [
             (
@@ -1095,36 +1112,14 @@ class _SosWalker(_TreeWalker):
             )
         ]
 
-    def stutter_reference(self) -> tuple[tuple[str, ...], ...]:
-        states = list(self.init)
-        rows = [tuple(self.interp.of(i, s) for i, s in enumerate(states))]
-        for step in self.schedule:
-            if step.actor in self.faulty:
-                continue
-            states[step.actor] = step.post
-            rows.append(tuple(self.interp.of(i, s) for i, s in enumerate(states)))
-        return tuple(rows)
+    def dropped(self, step: Step) -> bool:
+        return step.actor in self.faulty
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
-        report = validate_run(
-            run, self.alg, FDSpec.foresight(), ValidationMode.PREFIX_CONSISTENT
-        )
-        assert report.valid, f"engine produced an invalid run: {report.violations}"
-
         base_run = None
         try:
-            stripped = strip_faulty_steps(run)
-            base_run = to_initial_crash_run(stripped)
-            base_report = validate_run(
-                base_run,
-                self.base_alg,
-                FDSpec.always_accurate(),
-                ValidationMode.PREFIX_CONSISTENT,
-            )
-            structural = [
-                v for v in base_report.violations if v.condition != "history-membership"
-            ]
-            a_ok = not structural
+            base_run = to_initial_crash_run(strip_faulty_steps(run))
+            a_ok = not self.structural_violations(base_run, FDSpec.always_accurate())
         except FdlabError:
             a_ok = False
         assert a_ok == ("sos-a-stripped-run-valid" not in fast_clauses)
@@ -1153,15 +1148,9 @@ class _DasWalker(_TreeWalker):
         super().__init__(*args)
         self.k = k
         self.time_shift = time_shift
-        self.init_c_mismatches = sum(
-            1
-            for i, s in enumerate(self.init)
-            if isinstance(s, DelayState)
-            and self.v_tilde.of(i, s) != self.interp.of(i, s.base)
-        )
 
-    def root_aligned(self) -> bool:
-        return self.init_c_mismatches == 0
+    def mapped_state(self, state: State) -> State:
+        return state.base if isinstance(state, DelayState) else state
 
     def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
         actor = step.actor
@@ -1171,35 +1160,12 @@ class _DasWalker(_TreeWalker):
             return [], self.letters[actor] == self.v_tilde.of(actor, step.pre)
         return [], self.letters[actor] == self.interp.of(actor, step.post)
 
-    def stutter_reference(self) -> tuple[tuple[str, ...], ...]:
-        states = [s.base if isinstance(s, DelayState) else s for s in self.init]
-        rows = [tuple(self.interp.of(i, s) for i, s in enumerate(states))]
-        for step in self.schedule:
-            if isinstance(step.pre, DelayState):
-                continue
-            states[step.actor] = step.post
-            rows.append(tuple(self.interp.of(i, s) for i, s in enumerate(states)))
-        return tuple(rows)
+    def dropped(self, step: Step) -> bool:
+        return isinstance(step.pre, DelayState)
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
-        report = validate_run(
-            run,
-            self.alg,
-            FDSpec.accurate_after(self.k + 1),
-            ValidationMode.PREFIX_CONSISTENT,
-        )
-        assert report.valid, f"engine produced an invalid run: {report.violations}"
-
         mapped = das_run_mapping(run, time_shift=self.time_shift)
-        mapped_report = validate_run(
-            mapped,
-            self.base_alg,
-            FDSpec.accurate_after(self.k),
-            ValidationMode.PREFIX_CONSISTENT,
-        )
-        structural = [
-            v for v in mapped_report.violations if v.condition != "history-membership"
-        ]
+        structural = self.structural_violations(mapped, FDSpec.accurate_after(self.k))
         assert not structural, f"mapped run structurally invalid: {structural}"
         assert interpret_run(mapped, self.interp) == self.stutter_reference()
 
@@ -1207,27 +1173,35 @@ class _DasWalker(_TreeWalker):
 def _verify_claim(
     theorem: str,
     base_alg: Algorithm,
-    run_alg: Algorithm,
+    interp: Interpretation,
+    predicate: ProblemPredicate,
+    bounds: EnumerationBounds,
+    derived_interp: Interpretation | None,
+    thorough: bool,
+    *,
+    wrap: Callable[[Algorithm], Algorithm],
+    derive: Callable[[Interpretation, Algorithm], Interpretation],
     fd: FDSpec,
     k: int | None,
-    bounds: EnumerationBounds,
-    thorough: bool,
-    started: float,
-    *,
     map_pattern: Callable[[FailurePattern], FailurePattern],
     membership: Callable[[History, FailurePattern], MembershipVerdict],
     membership_clause: str,
     membership_subject: str,
     make_walker: Callable[..., _TreeWalker],
 ) -> TheoremReport:
-    """Walk every run of the wrapped machine ``run_alg`` under ``fd`` and
-    check one preservation claim.
+    """Walk every run of the wrapped machine ``wrap(base_alg)`` under ``fd``
+    and check one preservation claim.  ``derive`` extends ``interp`` to the
+    wrapped machine unless ``derived_interp`` is given.
 
     Per pattern, ``map_pattern`` gives the mapped run's pattern.  Per history
     group, every member is judged by ``membership`` against it, and one
     walker per initial-state choice walks the group's representative on
     behalf of all members.
     """
+    started = time.perf_counter()
+    interp.check_initial_cover(base_alg.initial_states)
+    v_tilde = derived_interp if derived_interp is not None else derive(interp, base_alg)
+    run_alg = wrap(base_alg)
     patterns, inits, families = _run_space(run_alg, bounds)
     totals = _WalkTotals()
     failures: list[ClauseFailure] = []
@@ -1252,9 +1226,15 @@ def _verify_claim(
             group = _WalkTotals()
             for init in inits:
                 walker = make_walker(
+                    base_alg,
+                    interp,
+                    v_tilde,
+                    predicate,
+                    thorough,
                     failures,
                     memo,
                     tallies,
+                    fd,
                     mapped_pattern,
                     run_alg,
                     pattern,
@@ -1316,27 +1296,23 @@ def verify_sos(
     (used to demonstrate that a broken derivation is caught).  ``thorough``
     re-derives every node verdict from scratch and disables memoization.
     """
-    started = time.perf_counter()
-    interp.check_initial_cover(base_alg.initial_states)
-    v_tilde = (
-        derived_interp
-        if derived_interp is not None
-        else derive_interpretation_sos(interp, base_alg)
-    )
     return _verify_claim(
         "sos-preservation",
         base_alg,
-        stall_on_suspect(base_alg),
-        FDSpec.foresight(),
-        None,
+        interp,
+        predicate,
         bounds,
+        derived_interp,
         thorough,
-        started,
+        wrap=stall_on_suspect,
+        derive=derive_interpretation_sos,
+        fd=FDSpec.foresight(),
+        k=None,
         map_pattern=initial_crash_scenario,
         membership=lambda h, f0: history_in_p(h, f0),
         membership_clause="sos-a-history-membership",
         membership_subject="stripped-run history",
-        make_walker=partial(_SosWalker, base_alg, interp, v_tilde, predicate, thorough),
+        make_walker=_SosWalker,
     )
 
 
@@ -1372,31 +1348,24 @@ def verify_das(
     membership clause, demonstrating that the shift is what makes clause (h)
     hold.  ``thorough`` re-derives every node verdict from scratch.
     """
-    started = time.perf_counter()
-    interp.check_initial_cover(base_alg.initial_states)
-    v_tilde = (
-        derived_interp
-        if derived_interp is not None
-        else derive_interpretation_das(interp, base_alg)
-    )
-
     def membership(h: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         return history_in_pk(shift_history(h) if time_shift else h, mapped_pattern, k)
 
     return _verify_claim(
         "das-preservation",
         base_alg,
-        delay_a_step(base_alg),
-        FDSpec.accurate_after(k + 1),
-        k,
+        interp,
+        predicate,
         bounds,
+        derived_interp,
         thorough,
-        started,
+        wrap=delay_a_step,
+        derive=derive_interpretation_das,
+        fd=FDSpec.accurate_after(k + 1),
+        k=k,
         map_pattern=shift_pattern if time_shift else (lambda pattern: pattern),
         membership=membership,
         membership_clause="das-h-history-membership",
         membership_subject="mapped history",
-        make_walker=partial(
-            _DasWalker, k, time_shift, base_alg, interp, v_tilde, predicate, thorough
-        ),
+        make_walker=partial(_DasWalker, k, time_shift),
     )

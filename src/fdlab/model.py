@@ -272,11 +272,8 @@ class Algorithm(ABC):
         suspect set, so it over-approximates any single run.  Sorted by the
         canonical string form for determinism.
         """
-        receipts: list[Transmission | None] = [None]
-        for j in range(self.n):
-            if j != i:
-                receipts.extend((j, payload) for payload in self.payload_alphabet(j))
-        suspect_sets = [frozenset(s) for s in _sorted_subsets(self.n)]
+        receipts = _receipt_domain(self, i)
+        suspect_sets = _sorted_subsets(self.n)
         seen: set[State] = set(self.initial_states(i))
         frontier = list(seen)
         while frontier:
@@ -293,12 +290,21 @@ class Algorithm(ABC):
         return tuple(sorted(seen, key=self.state_str))
 
 
-def _sorted_subsets(n: int) -> list[tuple[int, ...]]:
+def _receipt_domain(alg: Algorithm, i: int) -> list[Transmission | None]:
+    """Every receipt process ``i`` can see: nothing, then each peer's payloads."""
+    out: list[Transmission | None] = [None]
+    for j in range(alg.n):
+        if j != i:
+            out.extend((j, payload) for payload in alg.payload_alphabet(j))
+    return out
+
+
+def _sorted_subsets(n: int) -> list[frozenset[int]]:
     """Every subset of ``0..n-1``, by size and then lexicographically."""
     out: list[tuple[int, ...]] = [()]
     for p in range(n):
         out.extend(subset + (p,) for subset in list(out))
-    return sorted(out, key=lambda s: (len(s), s))
+    return [frozenset(s) for s in sorted(out, key=lambda s: (len(s), s))]
 
 
 def all_monotone_patterns(n: int, horizon: int) -> tuple[FailurePattern, ...]:

@@ -337,16 +337,14 @@ def eval_strong_consensus(w: ProblemSeq, f: FailurePattern) -> bool:
     ok, proposals, decisions = _agreement_safety(w)
     if not ok:
         return False
-    survivors = sorted(f.correct())
-    if survivors:
-        anchored = any(
-            all(d == proposals[c] for d in decisions) for c in survivors
-        )
-        if not anchored:
-            return False
-        if not _all_survivors_decided(w, f):
-            return False
-    return True
+    if not f.correct():
+        return True
+    return _anchored(proposals, decisions, f) and _all_survivors_decided(w, f)
+
+
+def _anchored(proposals: tuple[int, ...], decisions: frozenset[int], f: FailurePattern) -> bool:
+    """Some surviving process proposed every value decided anywhere."""
+    return any(all(d == proposals[c] for d in decisions) for c in sorted(f.correct()))
 
 
 class ConsensusPredicate(ProblemPredicate):
@@ -372,13 +370,11 @@ class StrongConsensusPredicate(ProblemPredicate):
 
     def undecided(self, w: ProblemSeq, f: FailurePattern) -> bool:
         ok, proposals, decisions = _agreement_safety(w)
-        if not ok:
-            return False
-        survivors = sorted(f.correct())
-        if not survivors:
-            return False
-        anchored = any(all(d == proposals[c] for d in decisions) for c in survivors)
-        return anchored and not _all_survivors_decided(w, f)
+        return (
+            ok
+            and _anchored(proposals, decisions, f)
+            and not _all_survivors_decided(w, f)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +428,10 @@ def check_crash_time_independence(
     crash pattern; within each group of patterns sharing a survivor set the
     verdict must be constant.  Returns the first witness found, or None.
     """
-    patterns = all_monotone_patterns(n, horizon)
+    patterns = _capped_patterns(pred, n, horizon, max_len, eval_cap)
     groups: dict[frozenset[int], list[FailurePattern]] = {}
     for f in patterns:
         groups.setdefault(f.correct(), []).append(f)
-    seq_count = _seq_space_size(len(pred.sigma), len(pred.sigma_init), n, max_len)
-    if seq_count * len(patterns) > eval_cap:
-        raise BudgetExceeded(
-            f"{seq_count} sequences x {len(patterns)} patterns exceeds cap {eval_cap}"
-        )
     for w in _problem_seqs(pred.sigma, pred.sigma_init, n, max_len):
         for survivors in sorted(groups, key=sorted):
             group = groups[survivors]
@@ -466,12 +457,7 @@ def check_finite_stuttering(
     verdicts on the sequence and its expansion must agree.  Returns the first
     witness found, or None.
     """
-    patterns = all_monotone_patterns(n, horizon)
-    seq_count = _seq_space_size(len(pred.sigma), len(pred.sigma_init), n, max_len)
-    if seq_count * len(patterns) > eval_cap:
-        raise BudgetExceeded(
-            f"{seq_count} sequences x {len(patterns)} patterns exceeds cap {eval_cap}"
-        )
+    patterns = _capped_patterns(pred, n, horizon, max_len, eval_cap)
     for w in _problem_seqs(pred.sigma, pred.sigma_init, n, max_len):
         expansions = [wp for wp in stutter_expansions(w, max_expanded_len) if wp != w]
         if not expansions:
@@ -484,12 +470,17 @@ def check_finite_stuttering(
     return None
 
 
-def _seq_space_size(sigma_size: int, init_size: int, n: int, max_len: int) -> int:
-    rows = sigma_size**n
-    first = init_size**n
-    total = 0
-    tail = 1
-    for _ in range(max_len):
-        total += first * tail
-        tail *= rows
-    return total
+def _capped_patterns(
+    pred: ProblemPredicate, n: int, horizon: int, max_len: int, eval_cap: int
+) -> tuple[FailurePattern, ...]:
+    """Every monotone pattern, once the sequence x pattern count is known to
+    stay within ``eval_cap``."""
+    patterns = all_monotone_patterns(n, horizon)
+    rows = len(pred.sigma) ** n
+    first = len(pred.sigma_init) ** n
+    seq_count = sum(first * rows**length for length in range(max_len))
+    if seq_count * len(patterns) > eval_cap:
+        raise BudgetExceeded(
+            f"{seq_count} sequences x {len(patterns)} patterns exceeds cap {eval_cap}"
+        )
+    return patterns

@@ -14,7 +14,6 @@ corrupt trace yields an invalid-run report rather than a parse error.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import Mapping
 
 from .errors import DomainMismatch
@@ -24,9 +23,9 @@ from .model import (
     History,
     Message,
     Run,
-    State,
     Step,
-    Transmission,
+    _receipt_domain,
+    _sorted_subsets,
 )
 from .problems import Interpretation
 
@@ -57,19 +56,9 @@ def _ids(values) -> list[int]:
 def run_to_doc(run: Run, alg: Algorithm) -> dict:
     """Serialize a run; states through ``alg.state_str``, no message tags."""
     steps = []
-    for step in run.schedule:
-        steps.append(
-            {
-                "actor": step.actor,
-                "pre": alg.state_str(step.pre),
-                "recv": None if step.received is None else list(step.received.transmission()),
-                "fd": _ids(step.suspects),
-                "post": alg.state_str(step.post),
-                "send": None
-                if step.sent is None
-                else [step.sent.receiver, step.sent.payload],
-            }
-        )
+    for s in run.schedule:
+        transition = (s.pre, s.received_transmission(), s.suspects, s.post, s.sent_transmission())
+        steps.append({"actor": s.actor, **_row_to_doc(alg, *transition)})
     return {
         "schema": "run.v1",
         "n": run.n,
@@ -84,6 +73,37 @@ def run_to_doc(run: Run, alg: Algorithm) -> dict:
         "schedule": steps,
         "times": list(run.times),
     }
+
+
+def _row_to_doc(alg: Algorithm, pre, received, suspects, post, dispatch) -> dict:
+    """One transition as a document row, shared by runs and algorithms."""
+    return {
+        "pre": alg.state_str(pre),
+        "recv": None if received is None else list(received),
+        "fd": _ids(suspects),
+        "post": alg.state_str(post),
+        "send": None if dispatch is None else list(dispatch),
+    }
+
+
+def _row_from_doc(row: Mapping, parse_state) -> tuple:
+    """Inverse of :func:`_row_to_doc`.  A malformed field raises ``KeyError``,
+    ``TypeError`` or ``ValueError``; callers turn these into
+    :class:`DomainMismatch`."""
+    return (
+        parse_state(row["pre"]),
+        _transmission(row["recv"], "recv is [sender, payload]"),
+        frozenset(int(q) for q in row["fd"]),
+        parse_state(row["post"]),
+        _transmission(row["send"], "send is [receiver, payload]"),
+    )
+
+
+def _transmission(pair, shape: str) -> tuple[int, str] | None:
+    if pair is None:
+        return None
+    _require(len(pair) == 2, shape)
+    return int(pair[0]), str(pair[1])
 
 
 def _require(condition: bool, message: str) -> None:
@@ -102,23 +122,27 @@ def run_from_doc(doc: Mapping, alg: Algorithm) -> Run:
     _require(isinstance(doc, Mapping), "run document must be a JSON object")
     _require(doc.get("schema", "run.v1") == "run.v1", "unsupported run schema")
     try:
-        n = int(doc["n"])
-        horizon = int(doc["horizon"])
-        pattern_rows = list(doc["pattern"])
-        history_rows = list(doc["history"])
-        init_row = list(doc["init"])
-        schedule_rows = list(doc["schedule"])
-        times = tuple(int(t) for t in doc["times"])
+        return _parse_run(doc, alg)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainMismatch(f"malformed run document: {exc}") from exc
+
+
+def _parse_run(doc: Mapping, alg: Algorithm) -> Run:
+    n = int(doc["n"])
+    horizon = int(doc["horizon"])
+    pattern_rows = list(doc["pattern"])
+    history_rows = list(doc["history"])
+    init_row = list(doc["init"])
+    schedule_rows = list(doc["schedule"])
+    times = tuple(int(t) for t in doc["times"])
 
     _require(len(pattern_rows) == horizon + 1, "pattern must cover every time point")
     crashed: list[frozenset[int]] = [frozenset()] * (horizon + 1)
     for row in pattern_rows:
         _require(len(row) == 2, "pattern rows are [t, [ids]]")
-        t, ids = row
-        _require(0 <= int(t) <= horizon, "pattern row time out of range")
-        crashed[int(t)] = frozenset(int(p) for p in ids)
+        t, ids = int(row[0]), row[1]
+        _require(0 <= t <= horizon, "pattern row time out of range")
+        crashed[t] = frozenset(int(p) for p in ids)
     pattern = FailurePattern(n, horizon, tuple(crashed))
 
     _require(
@@ -129,9 +153,9 @@ def run_from_doc(doc: Mapping, alg: Algorithm) -> Run:
     ]
     for row in history_rows:
         _require(len(row) == 3, "history rows are [pid, t, [ids]]")
-        p, t, ids = row
-        _require(0 <= int(p) < n and 0 <= int(t) <= horizon, "history cell out of range")
-        cells[int(p)][int(t)] = frozenset(int(q) for q in ids)
+        p, t, ids = int(row[0]), int(row[1]), row[2]
+        _require(0 <= p < n and 0 <= t <= horizon, "history cell out of range")
+        cells[p][t] = frozenset(int(q) for q in ids)
     history = History(n, horizon, tuple(tuple(r) for r in cells))
 
     _require(len(init_row) == n, "init must list one state per process")
@@ -141,19 +165,11 @@ def run_from_doc(doc: Mapping, alg: Algorithm) -> Run:
     steps: list[Step] = []
     sentinel = -1
     for index, row in enumerate(schedule_rows):
-        try:
-            actor = int(row["actor"])
-            pre = alg.parse_state(row["pre"])
-            post = alg.parse_state(row["post"])
-            recv = row["recv"]
-            send = row["send"]
-            suspects = frozenset(int(q) for q in row["fd"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainMismatch(f"malformed step #{index}: {exc}") from exc
+        actor = int(row["actor"])
+        pre, recv, suspects, post, send = _row_from_doc(row, alg.parse_state)
         received = None
         if recv is not None:
-            _require(len(recv) == 2, "recv is [sender, payload]")
-            sender, payload = int(recv[0]), str(recv[1])
+            sender, payload = recv
             match = next(
                 (
                     m
@@ -170,8 +186,7 @@ def run_from_doc(doc: Mapping, alg: Algorithm) -> Run:
                 sentinel -= 1
         sent = None
         if send is not None:
-            _require(len(send) == 2, "send is [receiver, payload]")
-            sent = Message(actor, int(send[0]), str(send[1]), index)
+            sent = Message(actor, send[0], send[1], index)
             outstanding.append(sent)
         steps.append(Step(actor, pre, received, suspects, post, sent))
 
@@ -203,13 +218,12 @@ def problem_from_doc(doc: Mapping, alg: Algorithm) -> Interpretation:
     try:
         sigma = frozenset(str(s) for s in doc["sigma"])
         sigma_init = frozenset(str(s) for s in doc["sigma_init"])
-        tables = list(doc["V"])
-    except (KeyError, TypeError) as exc:
+        maps = tuple(
+            {alg.parse_state(key): str(letter) for key, letter in dict(table).items()}
+            for table in doc["V"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainMismatch(f"malformed problem document: {exc}") from exc
-    maps = tuple(
-        {alg.parse_state(key): str(letter) for key, letter in table.items()}
-        for table in tables
-    )
     return Interpretation(maps, sigma, sigma_init)
 
 
@@ -217,27 +231,10 @@ def problem_from_doc(doc: Mapping, alg: Algorithm) -> Interpretation:
 # algorithm.v1
 
 
-def _receipt_domain(alg: Algorithm, i: int) -> list[Transmission | None]:
-    out: list[Transmission | None] = [None]
-    for sender in range(alg.n):
-        if sender == i:
-            continue
-        for payload in alg.payload_alphabet(sender):
-            out.append((sender, payload))
-    return out
-
-
-def _suspect_domain(n: int) -> list[frozenset[int]]:
-    out = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            out.append(frozenset(combo))
-    return out
-
-
 def algorithm_to_doc(alg: Algorithm) -> dict:
     """Tabulate an algorithm: reachable states, initials, payloads, and the
     full transition table over every (state, receipt, suspected-set)."""
+    suspect_sets = _sorted_subsets(alg.n)
     states = []
     tables = []
     for i in range(alg.n):
@@ -246,20 +243,10 @@ def algorithm_to_doc(alg: Algorithm) -> dict:
         rows = []
         for state in reachable:
             for received in _receipt_domain(alg, i):
-                for suspects in _suspect_domain(alg.n):
+                for suspects in suspect_sets:
                     result = alg.transition(i, state, received, suspects)
-                    if result is None:
-                        continue
-                    post, dispatch = result
-                    rows.append(
-                        {
-                            "pre": alg.state_str(state),
-                            "recv": None if received is None else list(received),
-                            "fd": _ids(suspects),
-                            "post": alg.state_str(post),
-                            "send": None if dispatch is None else list(dispatch),
-                        }
-                    )
+                    if result is not None:
+                        rows.append(_row_to_doc(alg, state, received, suspects, *result))
         tables.append(rows)
     return {
         "schema": "algorithm.v1",
@@ -286,23 +273,14 @@ def algorithm_from_doc(doc: Mapping):
         init = tuple(tuple(str(s) for s in row) for row in doc["init"])
         payloads = tuple(tuple(str(p) for p in row) for row in doc["payloads"])
         table_rows = list(doc["table"])
+        _require(len(table_rows) == n, "table must cover every process")
+        tables = []
+        for rows in table_rows:
+            table: dict = {}
+            for row in rows:
+                pre, received, suspects, post, dispatch = _row_from_doc(row, str)
+                table[(pre, received, suspects)] = (post, dispatch)
+            tables.append(table)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainMismatch(f"malformed algorithm document: {exc}") from exc
-    _require(len(table_rows) == n, "table must cover every process")
-    tables = []
-    for rows in table_rows:
-        table: dict = {}
-        for row in rows:
-            try:
-                pre = str(row["pre"])
-                recv = row["recv"]
-                suspects = frozenset(int(q) for q in row["fd"])
-                post = str(row["post"])
-                send = row["send"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DomainMismatch(f"malformed table row: {exc}") from exc
-            received = None if recv is None else (int(recv[0]), str(recv[1]))
-            dispatch = None if send is None else (int(send[0]), str(send[1]))
-            table[(pre, received, suspects)] = (post, dispatch)
-        tables.append(table)
     return TableAlgorithm(name, n, init, tuple(tables), payloads)

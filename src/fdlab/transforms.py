@@ -57,7 +57,34 @@ class DelayState:
     base: Hashable
 
 
-class StallOnSuspect(Algorithm):
+class _Wrapper(Algorithm):
+    """What both wrappers share: the wrapped algorithm's payloads, and a wire
+    form ``<prefix>(<wrapped state>)`` for the one state type they add."""
+
+    suffix: str
+    prefix: str
+    state_type: type
+
+    def __init__(self, base: Algorithm):
+        self.base = base
+        self.name = f"{base.name}+{self.suffix}"
+        self.n = base.n
+
+    def payload_alphabet(self, i: int) -> tuple[str, ...]:
+        return self.base.payload_alphabet(i)
+
+    def state_str(self, state: State) -> str:
+        if isinstance(state, self.state_type):
+            return f"{self.prefix}({self.base.state_str(state.base)})"
+        return self.base.state_str(state)
+
+    def parse_state(self, text: str) -> State:
+        if text.startswith(f"{self.prefix}(") and text.endswith(")"):
+            return self.state_type(self.base.parse_state(text[len(self.prefix) + 1 : -1]))
+        return self.base.parse_state(text)
+
+
+class StallOnSuspect(_Wrapper):
     """Wrap an algorithm so self-suspecting processes go silent immediately.
 
     From an initial state whose oracle output contains the process itself,
@@ -66,10 +93,10 @@ class StallOnSuspect(Algorithm):
     All other behavior is the wrapped algorithm's, unchanged.
     """
 
+    suffix, prefix, state_type = "sos", "stall", StallState
+
     def __init__(self, base: Algorithm):
-        self.base = base
-        self.name = f"{base.name}+sos"
-        self.n = base.n
+        super().__init__(base)
         self._initial_sets = tuple(
             frozenset(base.initial_states(i)) for i in range(base.n)
         )
@@ -88,27 +115,11 @@ class StallOnSuspect(Algorithm):
             return (StallState(state), None)
         return self.base.transition(i, state, received, suspects)
 
-    def payload_alphabet(self, i: int) -> tuple[str, ...]:
-        return self.base.payload_alphabet(i)
 
-    def state_str(self, state: State) -> str:
-        if isinstance(state, StallState):
-            return f"stall({self.base.state_str(state.base)})"
-        return self.base.state_str(state)
-
-    def parse_state(self, text: str) -> State:
-        if text.startswith("stall(") and text.endswith(")"):
-            return StallState(self.base.parse_state(text[6:-1]))
-        return self.base.parse_state(text)
-
-
-class DelayAStep(Algorithm):
+class DelayAStep(_Wrapper):
     """Wrap an algorithm so every process starts with one silent no-op step."""
 
-    def __init__(self, base: Algorithm):
-        self.base = base
-        self.name = f"{base.name}+das"
-        self.n = base.n
+    suffix, prefix, state_type = "das", "delay", DelayState
 
     def initial_states(self, i: int) -> tuple[State, ...]:
         return tuple(DelayState(q) for q in self.base.initial_states(i))
@@ -121,19 +132,6 @@ class DelayAStep(Algorithm):
                 return None
             return (state.base, None)
         return self.base.transition(i, state, received, suspects)
-
-    def payload_alphabet(self, i: int) -> tuple[str, ...]:
-        return self.base.payload_alphabet(i)
-
-    def state_str(self, state: State) -> str:
-        if isinstance(state, DelayState):
-            return f"delay({self.base.state_str(state.base)})"
-        return self.base.state_str(state)
-
-    def parse_state(self, text: str) -> State:
-        if text.startswith("delay(") and text.endswith(")"):
-            return DelayState(self.base.parse_state(text[6:-1]))
-        return self.base.parse_state(text)
 
 
 def stall_on_suspect(alg: Algorithm) -> StallOnSuspect:
@@ -150,13 +148,7 @@ def derive_interpretation_sos(interp: Interpretation, base: Algorithm) -> Interp
     Each stall state shows the same observable letter as the initial state it
     was entered from, so going silent is observably a pause, not a change.
     """
-    maps = []
-    for i in range(base.n):
-        extended = dict(interp.maps[i])
-        for q in base.initial_states(i):
-            extended[StallState(q)] = interp.of(i, q)
-        maps.append(extended)
-    return Interpretation(tuple(maps), interp.sigma, interp.sigma_init)
+    return _hold_initial_letters(interp, base, StallState)
 
 
 def derive_interpretation_das(interp: Interpretation, base: Algorithm) -> Interpretation:
@@ -165,11 +157,16 @@ def derive_interpretation_das(interp: Interpretation, base: Algorithm) -> Interp
     Each delay state shows the letter of the initial state it holds, so the
     leading no-op is observably a pause.
     """
+    return _hold_initial_letters(interp, base, DelayState)
+
+
+def _hold_initial_letters(interp: Interpretation, base: Algorithm, holder: type) -> Interpretation:
+    """Map ``holder(q)`` to the letter of each initial state ``q``."""
     maps = []
     for i in range(base.n):
         extended = dict(interp.maps[i])
         for q in base.initial_states(i):
-            extended[DelayState(q)] = interp.of(i, q)
+            extended[holder(q)] = interp.of(i, q)
         maps.append(extended)
     return Interpretation(tuple(maps), interp.sigma, interp.sigma_init)
 

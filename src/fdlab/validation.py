@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Container, Iterable, Iterator
 
 from .detectors import FDSpec, history_matches
 from .errors import DomainMismatch
@@ -194,45 +195,45 @@ def validate_run(
             )
 
     if mode is ValidationMode.STRICT_FAIRNESS:
-        correct = run.pattern.correct()
-        undelivered = [
-            m
-            for m in sorted(sent_messages, key=lambda m: m.tag)
-            if m not in consumed and m.receiver in correct
-        ]
-        for m in undelivered:
-            violations.append(
-                RunViolation(
-                    "undelivered-message",
-                    None,
-                    f"message {m.tag} to surviving process {m.receiver} never received",
-                )
-            )
-        window = fairness_window if fairness_window is not None else horizon + 1
-        if window < 1:
-            raise DomainMismatch(f"fairness window must be positive, got {window}")
-        for p in sorted(correct):
-            gaps = _step_gaps(
-                [t for step, t in zip(run.schedule, run.times) if step.actor == p], horizon
-            )
-            if gaps >= window:
-                violations.append(
-                    RunViolation(
-                        "fairness-gap",
-                        None,
-                        f"surviving process {p} has a {gaps}-point stretch without a step "
-                        f"(window {window})",
-                    )
-                )
+        sent = sorted(sent_messages, key=lambda m: m.tag)
+        violations.extend(_liveness_debts(run, sent, consumed, fairness_window))
 
     return ValidityReport(valid=not violations, violations=tuple(violations))
 
 
-def _step_gaps(step_times: list[int], horizon: int) -> int:
-    """Length of the longest stretch of time points without a step."""
-    longest = 0
-    previous = -1
-    for t in step_times + [horizon + 1]:
-        longest = max(longest, t - previous - 1)
-        previous = t
-    return longest
+def _liveness_debts(
+    run: Run,
+    sent: Iterable[Message],
+    consumed: Container[Message],
+    fairness_window: int | None,
+) -> Iterator[RunViolation]:
+    """The strict-fairness debts of a run, lazily, so a caller asking only
+    whether one exists stops at the first.
+
+    ``sent`` lists the run's sent messages in tag order, ``consumed`` holds
+    the received ones.  First every message to a survivor never received,
+    then every survivor idle for ``fairness_window`` time points (default:
+    the whole run).
+    """
+    window = fairness_window if fairness_window is not None else run.horizon + 1
+    if window < 1:
+        raise DomainMismatch(f"fairness window must be positive, got {window}")
+    correct = run.pattern.correct()
+    for m in sent:
+        if m not in consumed and m.receiver in correct:
+            yield RunViolation(
+                "undelivered-message",
+                None,
+                f"message {m.tag} to surviving process {m.receiver} never received",
+            )
+    for p in sorted(correct):
+        # the longest stretch of time points without a step of p
+        times = [-1] + [t for step, t in zip(run.schedule, run.times) if step.actor == p]
+        gaps = max(b - a - 1 for a, b in zip(times, times[1:] + [run.horizon + 1]))
+        if gaps >= window:
+            yield RunViolation(
+                "fairness-gap",
+                None,
+                f"surviving process {p} has a {gaps}-point stretch without a step "
+                f"(window {window})",
+            )

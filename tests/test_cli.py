@@ -80,6 +80,16 @@ class TestValidate:
         code = main(["validate", str(path), "--algorithm", "flood-consensus-p", "--fd", "P"])
         assert code == 2
 
+    def test_malformed_field_is_a_usage_error(
+        self, tmp_path: Path, run_doc: dict, capsys
+    ) -> None:
+        run_doc["pattern"][0] = ["x", []]
+        path = tmp_path / "bad.json"
+        path.write_text(canonical_json(run_doc))
+        code = main(["validate", str(path), "--algorithm", "flood-consensus-p", "--fd", "P"])
+        assert code == 2
+        assert "malformed run document" in capsys.readouterr().err
+
     def test_unknown_oracle_string(self, run_file: Path, capsys) -> None:
         code = main(["validate", str(run_file), "--algorithm", "flood-consensus-p", "--fd", "Q"])
         assert code == 2

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +120,43 @@ class TestMembership:
         h = canonical_history(FDSpec.accurate_after(1), f)
         assert history_matches(FDSpec.accurate_after(1), h, f) == history_in_pk(h, f, 1)
         assert history_matches(FDSpec.always_accurate(), h, f) == history_in_p(h, f)
+
+    def test_p_is_pk_at_lag_zero(self) -> None:
+        """P and Pk:0 agree on the canonical history and on the membership of
+        it and every one-cell rewrite of it, for every pattern with n <= 3 and
+        horizon <= 3; only P's forbidden suspicions are named "accuracy"."""
+        p, pk0 = FDSpec.always_accurate(), FDSpec.accurate_after(0)
+        pairs = 0
+        for n in (1, 2, 3):
+            values = [frozenset(s) for r in range(n + 1) for s in combinations(range(n), r)]
+            for horizon in range(4):
+                for f in all_monotone_patterns(n, horizon):
+                    base = canonical_history(p, f)
+                    assert base == canonical_history(pk0, f)
+                    histories = [base] + [
+                        base.with_cell(q, t, value)
+                        for q in range(n)
+                        for t in range(horizon + 1)
+                        for value in values
+                        if value != base.at(q, t)
+                    ]
+                    for h in histories:
+                        in_p, in_pk = history_in_p(h, f), history_in_pk(h, f, 0)
+                        assert in_p.prefix_consistent == in_pk.prefix_consistent
+                        assert in_p.horizon_complete == in_pk.horizon_complete
+                        assert {v.condition for v in in_p.violations} <= {
+                            "accuracy",
+                            "completeness",
+                        }
+                        renamed = [
+                            replace(v, condition="late-accuracy")
+                            if v.condition == "accuracy"
+                            else v
+                            for v in in_p.violations
+                        ]
+                        assert renamed == list(in_pk.violations)
+                        pairs += 1
+        assert pairs == 17_186
 
     def test_shape_mismatch_raises(self) -> None:
         f = FailurePattern.from_crash_times(2, 2, {})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from fdlab import (
@@ -49,6 +51,8 @@ class TestBounds:
             EnumerationBounds(n=2, horizon=2, max_steps=3, fairness_window=0)
         with pytest.raises(DomainMismatch, match="fairness window"):
             EnumerationBounds(n=2, horizon=2, max_steps=3, fairness_window=-1)
+        with pytest.raises(DomainMismatch, match="run cap"):
+            EnumerationBounds(n=2, horizon=2, max_steps=2, run_cap=-1)
 
     def test_cap_resolution_order(self, monkeypatch: pytest.MonkeyPatch) -> None:
         """Explicit cap beats the environment, which beats the default."""
@@ -171,14 +175,17 @@ class TestEnumerateRuns:
         assert len(set(empties)) == len(empties)
 
     def test_strict_fairness_filters_a_subset(self) -> None:
-        strict = EnumerationBounds(
-            n=2, horizon=3, max_steps=3, mode=ValidationMode.STRICT_FAIRNESS
-        )
-        lax_runs = set(enumerate_runs(ALG, FD, self.BOUNDS))
-        strict_runs = set(enumerate_runs(ALG, FD, strict))
-        assert strict_runs < lax_runs
-        for run in strict_runs:
-            assert validate_run(run, ALG, FD, ValidationMode.STRICT_FAIRNESS).valid
+        """Strict mode keeps exactly the lax runs that ``validate_run`` finds
+        valid in strict mode, in the same order, for every window."""
+        mode = ValidationMode.STRICT_FAIRNESS
+        lax_runs = list(enumerate_runs(ALG, FD, self.BOUNDS))
+        for window in (None, 1, 2):
+            strict = replace(self.BOUNDS, mode=mode, fairness_window=window)
+            strict_runs = list(enumerate_runs(ALG, FD, strict))
+            assert set(strict_runs) < set(lax_runs)
+            assert strict_runs == [
+                run for run in lax_runs if validate_run(run, ALG, FD, mode, window).valid
+            ]
 
 
 class TestCheckSolves:

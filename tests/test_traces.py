@@ -152,6 +152,21 @@ class TestRunDocuments:
         doc["times"] = ["soon"]
         cases.append(doc)
         cases.append({"schema": "run.v1"})
+        for row in (["x", []], 5, [0, 5]):
+            doc = dict(good)
+            doc["pattern"] = [row] + good["pattern"][1:]
+            cases.append(doc)
+        for row in (["x", 0, []], 5, [0, 0, 5]):
+            doc = dict(good)
+            doc["history"] = [row] + good["history"][1:]
+            cases.append(doc)
+        stepped = run_to_doc(next(r for r in sample_runs(100) if r.schedule), ALG)
+        step = stepped["schedule"][0]
+        for field, value in (("recv", ["a", "0"]), ("recv", 5), ("send", ["b", "0"]),
+                             ("send", [1])):
+            doc = dict(stepped)
+            doc["schedule"] = [dict(step, **{field: value})] + stepped["schedule"][1:]
+            cases.append(doc)
         for case in cases:
             with pytest.raises(DomainMismatch):
                 run_from_doc(case, ALG)
@@ -183,6 +198,10 @@ class TestProblemDocuments:
             problem_from_doc({"schema": "problem.v2"}, ALG)
         with pytest.raises(DomainMismatch):
             problem_from_doc({"schema": "problem.v1", "sigma": ["a"]}, ALG)
+        with pytest.raises(DomainMismatch):
+            problem_from_doc(
+                {"schema": "problem.v1", "sigma": ["a"], "sigma_init": ["a"], "V": [5]}, ALG
+            )
 
 
 class TestAlgorithmDocuments:
@@ -214,5 +233,15 @@ class TestAlgorithmDocuments:
             algorithm_from_doc(doc)
         doc = dict(good)
         doc["table"] = [[{"pre": "x"}], []]
+        with pytest.raises(DomainMismatch):
+            algorithm_from_doc(doc)
+        row = good["table"][0][0]
+        for field, value in (("recv", ["z", "p"]), ("send", ["z", "p"]), ("send", [0])):
+            doc = dict(good)
+            doc["table"] = [[dict(row, **{field: value})], []]
+            with pytest.raises(DomainMismatch):
+                algorithm_from_doc(doc)
+        doc = dict(good)
+        doc["table"] = [5, []]
         with pytest.raises(DomainMismatch):
             algorithm_from_doc(doc)
