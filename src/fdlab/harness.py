@@ -12,11 +12,14 @@ On top of the enumerator sit ``check_solves`` and ``counterexample_probe``:
 does an algorithm solve a problem over all fair bounded runs?  Both read one
 scan that yields each strict-fairness run with its verdict (decided,
 undecided or fail); the first tallies the verdicts, the second stops at the
-first failure.  ``verify_sos`` / ``verify_das`` check that the stall and
+first failure.  Fairness is decided in the schedule tree as it is walked,
+and each run's verdict comes from the observable rows and agreement-monitor
+state it shares with the previous run, so no run is re-interpreted from its
+initial states.  ``verify_sos`` / ``verify_das`` check that the stall and
 delay wrappers preserve solvability, clause by clause on every run.  All of
-them expand the
-same schedule trees; the verifiers add incremental per-step checks and share
-one driver over patterns, history groups and initial states.
+them expand the same schedule trees; the verifiers add incremental per-step
+checks and share one driver over patterns, history groups and initial
+states.
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -53,6 +56,7 @@ from .model import (
     own_state_views,
 )
 from .problems import (
+    AGREEMENT_ALPHABET,
     ConsensusPredicate,
     Interpretation,
     ProblemPredicate,
@@ -73,7 +77,7 @@ from .transforms import (
     strip_faulty_steps,
     to_initial_crash_run,
 )
-from .validation import RunViolation, ValidationMode, _liveness_debts, validate_run
+from .validation import RunViolation, ValidationMode, validate_run
 
 __all__ = [
     "DEFAULT_RUN_CAP",
@@ -354,14 +358,60 @@ class _ScheduleTree:
             yield self.run()
             yield from self._runs_below(t + 1)
 
+    def fair_runs(self, window: int | None) -> Iterator[Run]:
+        """The runs of ``runs()`` that owe no strict-fairness debt, in the
+        same order.
+
+        The debts of ``validation._liveness_debts`` are kept in step with the
+        path: the number of messages in transit to a correct process, and
+        each correct process's last step time (-1 before its first step; a
+        faulty process, which owes nothing, is pinned to the horizon).  A run
+        is fair when nothing is owed and every correct process stepped less
+        than ``window`` points before the horizon (default window: the whole
+        run).  A path whose last step lies ``window`` or more points after
+        some correct process's last step is neither yielded nor extended:
+        that process's gap is too long whether it steps later or not.  So no
+        walked path ever closes a gap that long.
+        """
+        window = self.horizon + 1 if window is None else window
+        correct = self.pattern.correct()
+        last = [-1 if p in correct else self.horizon for p in range(self.n)]
+        if self.horizon - min(last) < window:
+            yield self.run()
+        # from this offset on, a correct process has idled a whole window
+        too_late = window + min(last) + 1
+        for window_start in range(min(self.horizon + 1, too_late)):
+            yield from self._fair_below(window_start, window, correct, last, 0)
+
+    def _fair_below(
+        self, t: int, window: int, correct: frozenset[int], last: list[int], owed: int
+    ) -> Iterator[Run]:
+        for step in self.children(t):
+            actor = step.actor
+            debt = owed
+            if step.received is not None and actor in correct:
+                debt -= 1
+            if step.sent is not None and step.sent.receiver in correct:
+                debt += 1
+            before = last[actor]
+            if actor in correct:
+                last[actor] = t
+            oldest = min(last)
+            if t - oldest < window:
+                if not debt and self.horizon - oldest < window:
+                    yield self.run()
+                yield from self._fair_below(t + 1, window, correct, last, debt)
+            last[actor] = before
+
 
 def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Iterator[Run]:
     """Every valid run within the bounds, in a fixed deterministic order.
 
     Order: pattern, then history, then initial states, then window offset,
     then depth-first schedule order.  In strict-fairness mode runs carrying
-    unmet liveness debts are filtered out.  The empty run appears once per
-    (pattern, history, initial states), at window offset 0.
+    unmet liveness debts are left out, decided in the tree as it is walked.
+    The empty run appears once per (pattern, history, initial states), at
+    window offset 0.
     """
     patterns, inits, _ = _run_space(alg, bounds)
     strict = bounds.mode is ValidationMode.STRICT_FAIRNESS
@@ -370,14 +420,7 @@ def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Ite
         for history in perturbed_histories(fd, pattern, bounds.history_budget):
             for init in inits:
                 tree = _ScheduleTree(alg, pattern, history, init, bounds.max_steps, delta_cache)
-                for run in tree.runs():
-                    if strict:
-                        sent = [s.sent for s in run.schedule if s.sent is not None]
-                        consumed = {s.received for s in run.schedule if s.received is not None}
-                        debts = _liveness_debts(run, sent, consumed, bounds.fairness_window)
-                        if next(debts, None) is not None:
-                            continue
-                    yield run
+                yield from tree.fair_runs(bounds.fairness_window) if strict else tree.runs()
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +437,30 @@ def _verdict(predicate: ProblemPredicate, w: ProblemSeq, pattern: FailurePattern
     return "fail"
 
 
+class _SequenceJudge:
+    """The growing observable sequence, judged whole by any predicate.
+
+    Has ``_AgreementMonitor``'s push/pop/classify interface, for predicates
+    the monitor does not mirror.
+    """
+
+    def __init__(self, letters: list[str], predicate: ProblemPredicate, pattern: FailurePattern):
+        self.rows = [tuple(letters)]
+        self.predicate = predicate
+        self.pattern = pattern
+
+    def push(self, i: int, letter: str) -> None:
+        row = list(self.rows[-1])
+        row[i] = letter
+        self.rows.append(tuple(row))
+
+    def pop(self, token: None) -> None:
+        self.rows.pop()
+
+    def classify(self) -> str:
+        return _verdict(self.predicate, tuple(self.rows), self.pattern)
+
+
 def _fair_verdicts(
     alg: Algorithm,
     fd: FDSpec,
@@ -402,10 +469,48 @@ def _fair_verdicts(
     strict_bounds: EnumerationBounds,
 ) -> Iterator[tuple[Run, str]]:
     """Each fair run within the strict-mode bounds, in enumeration order,
-    with its verdict."""
+    with its verdict.
+
+    Consecutive runs share a schedule prefix, so the judge of the previous
+    run is kept with a stack of the steps pushed into it: per run, only the
+    steps after the longest prefix of identical ``Step`` objects are popped
+    and pushed, each as its actor's new letter.  The judge starts over
+    whenever the (pattern, history, initial states) family changes.  The two
+    agreement predicates over agreement letters are judged by
+    ``_AgreementMonitor``; any other predicate reads the whole sequence.
+    """
     interp.check_initial_cover(alg.initial_states)
+    of = interp.of
+    monitored = (
+        type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
+        and interp.sigma <= AGREEMENT_ALPHABET
+    )
+    strong = isinstance(predicate, StrongConsensusPredicate)
+    pattern = history = init = None
+    judge: _AgreementMonitor | _SequenceJudge
+    steps: list[Step] = []
+    tokens: list = []
     for run in enumerate_runs(alg, fd, strict_bounds):
-        yield run, _verdict(predicate, interpret_run(run, interp), run.pattern)
+        if run.init is not init or run.history is not history or run.pattern is not pattern:
+            pattern, history, init = run.pattern, run.history, run.init
+            letters = [of(i, s) for i, s in enumerate(init)]
+            if monitored:
+                judge = _AgreementMonitor(letters, pattern.correct(), strong)
+            else:
+                judge = _SequenceJudge(letters, predicate, pattern)
+            steps, tokens = [], []
+        schedule = run.schedule
+        keep = 0
+        limit = min(len(steps), len(schedule))
+        while keep < limit and steps[keep] is schedule[keep]:
+            keep += 1
+        for token in reversed(tokens[keep:]):
+            judge.pop(token)
+        del steps[keep:], tokens[keep:]
+        for step in schedule[keep:]:
+            tokens.append(judge.push(step.actor, of(step.actor, step.post)))
+            steps.append(step)
+        yield run, judge.classify()
 
 
 @dataclass
@@ -698,17 +803,18 @@ class _AgreementMonitor:
 
     def classify(self) -> str:
         """'fail' | 'undecided' | 'decided' for the current sequence."""
-        if self.stability_broken or self.proposal_changed:
+        if self.stability_broken or self.proposal_changed or len(self.ever) > 1:
             return "fail"
-        if len(self.ever) > 1 or any(v not in self.proposals for v in self.ever):
-            return "fail"
-        if self.strong:
-            if not self.correct:
-                return "decided"
-            if self.ever:
-                value = next(iter(self.ever))
-                if not any(self.proposals[c] == value for c in sorted(self.correct)):
-                    return "fail"
+        for value in self.ever:
+            # the one value decided anywhere: someone proposed it and, under
+            # the strong rule, some survivor did
+            if value not in self.proposals:
+                return "fail"
+            if self.strong and self.correct and all(
+                self.proposals[c] != value for c in self.correct
+            ):
+                return "fail"
+        # with no survivors nobody is left undecided
         return "undecided" if self.undecided_survivors else "decided"
 
     def digest(self) -> tuple:

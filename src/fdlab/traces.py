@@ -137,24 +137,24 @@ def _parse_run(doc: Mapping, alg: Algorithm) -> Run:
     times = tuple(int(t) for t in doc["times"])
 
     _require(len(pattern_rows) == horizon + 1, "pattern must cover every time point")
-    crashed: list[frozenset[int]] = [frozenset()] * (horizon + 1)
+    crashed: list[frozenset[int] | None] = [None] * (horizon + 1)
     for row in pattern_rows:
         _require(len(row) == 2, "pattern rows are [t, [ids]]")
         t, ids = int(row[0]), row[1]
         _require(0 <= t <= horizon, "pattern row time out of range")
+        _require(crashed[t] is None, f"pattern lists time {t} twice")
         crashed[t] = frozenset(int(p) for p in ids)
     pattern = FailurePattern(n, horizon, tuple(crashed))
 
     _require(
         len(history_rows) == n * (horizon + 1), "history must cover every (process, time) cell"
     )
-    cells: list[list[frozenset[int]]] = [
-        [frozenset()] * (horizon + 1) for _ in range(n)
-    ]
+    cells: list[list[frozenset[int] | None]] = [[None] * (horizon + 1) for _ in range(n)]
     for row in history_rows:
         _require(len(row) == 3, "history rows are [pid, t, [ids]]")
         p, t, ids = int(row[0]), int(row[1]), row[2]
         _require(0 <= p < n and 0 <= t <= horizon, "history cell out of range")
+        _require(cells[p][t] is None, f"history lists cell ({p}, {t}) twice")
         cells[p][t] = frozenset(int(q) for q in ids)
     history = History(n, horizon, tuple(tuple(r) for r in cells))
 
@@ -275,11 +275,13 @@ def algorithm_from_doc(doc: Mapping):
         table_rows = list(doc["table"])
         _require(len(table_rows) == n, "table must cover every process")
         tables = []
-        for rows in table_rows:
+        for i, rows in enumerate(table_rows):
             table: dict = {}
             for row in rows:
                 pre, received, suspects, post, dispatch = _row_from_doc(row, str)
-                table[(pre, received, suspects)] = (post, dispatch)
+                key = (pre, received, suspects)
+                _require(key not in table, f"table of process {i} lists {key} twice")
+                table[key] = (post, dispatch)
             tables.append(table)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainMismatch(f"malformed algorithm document: {exc}") from exc

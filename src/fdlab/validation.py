@@ -74,10 +74,13 @@ def validate_run(
     """Check every validity condition and report all violations found.
 
     Raises :class:`DomainMismatch` if the run and the algorithm disagree on
-    the process set; everything else is reported, not raised.
+    the process set, or if a given fairness window is not positive, in any
+    mode; everything else is reported, not raised.
     """
     if alg.n != run.n:
         raise DomainMismatch(f"algorithm is over {alg.n} processes, run over {run.n}")
+    if fairness_window is not None and fairness_window < 1:
+        raise DomainMismatch(f"fairness window must be positive, got {fairness_window}")
     violations: list[RunViolation] = []
     horizon = run.horizon
 
@@ -207,8 +210,8 @@ def _liveness_debts(
     consumed: Container[Message],
     fairness_window: int | None,
 ) -> Iterator[RunViolation]:
-    """The strict-fairness debts of a run, lazily, so a caller asking only
-    whether one exists stops at the first.
+    """The strict-fairness debts of a whole run.  The enumerator keeps the
+    same debts step by step as it walks (``harness._ScheduleTree.fair_runs``).
 
     ``sent`` lists the run's sent messages in tag order, ``consumed`` holds
     the received ones.  First every message to a survivor never received,
@@ -216,8 +219,6 @@ def _liveness_debts(
     the whole run).
     """
     window = fairness_window if fairness_window is not None else run.horizon + 1
-    if window < 1:
-        raise DomainMismatch(f"fairness window must be positive, got {window}")
     correct = run.pattern.correct()
     for m in sent:
         if m not in consumed and m.receiver in correct:

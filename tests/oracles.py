@@ -4,11 +4,14 @@ Everything here is deliberately slow and structurally independent of the
 library's own algorithms: the stutter oracle explores single-insertion chains
 breadth-first instead of using the dynamic program, and the run oracle builds
 schedules by unguided syntactic search and keeps whatever ``validate_run``
-accepts instead of generating only legal steps.
+accepts instead of generating only legal steps, and the solvability scan
+re-validates and re-interprets every run from scratch instead of following
+the schedule tree.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 from typing import Iterator
 
@@ -16,16 +19,21 @@ from fdlab import (
     Algorithm,
     EnumerationBounds,
     FDSpec,
+    Interpretation,
     Message,
     Run,
     Step,
     ValidationMode,
     all_monotone_patterns,
+    enumerate_runs,
     init_combinations,
+    interpret_run,
     perturbed_histories,
     validate_run,
 )
+from fdlab.harness import ProbeReport, SolvesReport
 from fdlab.problems import ProblemPredicate
+from fdlab.traces import run_to_doc
 
 Row = tuple[str, ...]
 Seq = tuple[Row, ...]
@@ -210,3 +218,72 @@ def _all_schedules(
                 yield from walk(next_states, next_pending, schedule + (step,), times + (t,))
 
     yield from walk(init, (), (), ())
+
+
+def reference_fair_verdicts(
+    alg: Algorithm,
+    fd: FDSpec,
+    interp: Interpretation,
+    predicate: ProblemPredicate,
+    bounds: EnumerationBounds,
+) -> Iterator[tuple[Run, str]]:
+    """The solvability scan re-derived run by run: every prefix-consistent
+    run that ``validate_run`` accepts under strict fairness, interpreted from
+    its initial states and judged on the whole observable sequence."""
+    interp.check_initial_cover(alg.initial_states)
+    lax = replace(bounds, mode=ValidationMode.PREFIX_CONSISTENT)
+    for run in enumerate_runs(alg, fd, lax):
+        report = validate_run(
+            run, alg, fd, ValidationMode.STRICT_FAIRNESS, bounds.fairness_window
+        )
+        if not report.valid:
+            continue
+        w = interpret_run(run, interp)
+        if predicate.evaluate(w, run.pattern):
+            yield run, "decided"
+        elif predicate.undecided(w, run.pattern):
+            yield run, "undecided"
+        else:
+            yield run, "fail"
+
+
+def reference_report_docs(
+    alg: Algorithm,
+    fd: FDSpec,
+    interp: Interpretation,
+    predicate: ProblemPredicate,
+    bounds: EnumerationBounds,
+) -> tuple[dict, dict, dict]:
+    """What ``check_solves`` without and with ``require_quiescence`` and
+    ``counterexample_probe`` report, by ``to_dict()`` without
+    ``elapsed_seconds``, computed from one reference scan."""
+    strict = replace(bounds, mode=ValidationMode.STRICT_FAIRNESS)
+    scan = list(reference_fair_verdicts(alg, fd, interp, predicate, strict))
+    header = (alg.name, fd.serialize(), predicate.name, strict.to_dict())
+    verdicts = [verdict for _, verdict in scan]
+    docs = []
+    for failing in ({"fail"}, {"fail", "undecided"}):
+        first = next((run for run, verdict in scan if verdict in failing), None)
+        violations = sum(verdict in failing for verdict in verdicts)
+        report = SolvesReport(
+            *header, violations == 0, len(scan), verdicts.count("decided"),
+            verdicts.count("undecided"), violations, failing != {"fail"},
+            None if first is None else run_to_doc(first, alg), 0.0,
+        )
+        docs.append(report.to_dict())
+    index = next((i for i, (_, verdict) in enumerate(scan) if verdict == "fail"), None)
+    found = None if index is None else scan[index][0]
+    checked = len(scan) if index is None else index + 1
+    detail = (
+        f"no violation among {checked} fair runs"
+        if found is None
+        else f"run #{checked} violates {predicate.name}"
+    )
+    probe = ProbeReport(
+        *header, found is not None, found, None if found is None else run_to_doc(found, alg),
+        detail, checked, 0.0,
+    )
+    docs.append(probe.to_dict())
+    for doc in docs:
+        del doc["elapsed_seconds"]
+    return docs[0], docs[1], docs[2]

@@ -90,6 +90,25 @@ class TestValidate:
         assert code == 2
         assert "malformed run document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["prefix-consistent", "strict-fairness"])
+    def test_nonpositive_window_is_a_usage_error(self, run_file: Path, mode: str, capsys) -> None:
+        code = main(
+            ["validate", str(run_file), "--algorithm", "flood-consensus-p", "--fd", "P",
+             "--mode", mode, "--fairness-window", "0"]
+        )
+        assert code == 2
+        assert "fairness window" in capsys.readouterr().err
+
+    def test_repeated_history_cell_is_a_usage_error(
+        self, tmp_path: Path, run_doc: dict, capsys
+    ) -> None:
+        run_doc["history"][1] = run_doc["history"][0]
+        path = tmp_path / "bad.json"
+        path.write_text(canonical_json(run_doc))
+        code = main(["validate", str(path), "--algorithm", "flood-consensus-p", "--fd", "P"])
+        assert code == 2
+        assert "twice" in capsys.readouterr().err
+
     def test_unknown_oracle_string(self, run_file: Path, capsys) -> None:
         code = main(["validate", str(run_file), "--algorithm", "flood-consensus-p", "--fd", "Q"])
         assert code == 2

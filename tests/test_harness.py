@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from fdlab import (
     DEFAULT_RUN_CAP,
+    ConsensusPredicate,
     EnumerationBounds,
     FDSpec,
+    Interpretation,
     StrongConsensusPredicate,
     ValidationMode,
     builtin_algorithm,
@@ -22,7 +25,7 @@ from fdlab import (
     verify_sos,
 )
 from fdlab.detectors import perturbed_histories
-from fdlab.errors import BudgetExceeded, DomainMismatch
+from fdlab.errors import BudgetExceeded, DomainMismatch, UncoveredState
 from fdlab.harness import (
     RUN_CAP_ENV_VAR,
     all_monotone_patterns,
@@ -32,6 +35,8 @@ from fdlab.harness import (
 )
 from fdlab.traces import canonical_json, run_from_doc
 from fdlab.transforms import StallState, derive_interpretation_sos
+
+from .oracles import PlantedLengthSensitive, reference_report_docs
 
 ALG, INTERP, PREDICATE = builtin_algorithm("flood-consensus-p", 2)
 FD = FDSpec.always_accurate()
@@ -178,14 +183,17 @@ class TestEnumerateRuns:
         """Strict mode keeps exactly the lax runs that ``validate_run`` finds
         valid in strict mode, in the same order, for every window."""
         mode = ValidationMode.STRICT_FAIRNESS
-        lax_runs = list(enumerate_runs(ALG, FD, self.BOUNDS))
-        for window in (None, 1, 2):
-            strict = replace(self.BOUNDS, mode=mode, fairness_window=window)
-            strict_runs = list(enumerate_runs(ALG, FD, strict))
-            assert set(strict_runs) < set(lax_runs)
-            assert strict_runs == [
-                run for run in lax_runs if validate_run(run, ALG, FD, mode, window).valid
-            ]
+        alg3, _, _ = builtin_algorithm("flood-consensus-p", 3)
+        three = EnumerationBounds(n=3, horizon=2, max_steps=3)
+        for alg, bounds in ((ALG, self.BOUNDS), (alg3, three)):
+            lax_runs = list(enumerate_runs(alg, FD, bounds))
+            for window in (None, 1, 2):
+                strict = replace(bounds, mode=mode, fairness_window=window)
+                strict_runs = list(enumerate_runs(alg, FD, strict))
+                assert set(strict_runs) < set(lax_runs)
+                assert strict_runs == [
+                    run for run in lax_runs if validate_run(run, alg, FD, mode, window).valid
+                ]
 
 
 class TestCheckSolves:
@@ -218,6 +226,58 @@ class TestCheckSolves:
         assert d["fd"] == "P"
         assert d["bounds"]["mode"] == "strict-fairness"
         assert canonical_json(d)
+
+
+class TestFairScan:
+    """``check_solves`` and the probe judge each fair run from the prefix it
+    shares with the previous one; the reference re-validates and
+    re-interprets every run from scratch."""
+
+    @pytest.mark.parametrize(
+        "name, fd",
+        [
+            pytest.param("flood-consensus-p", FDSpec.always_accurate(), id="flood-consensus-p"),
+            pytest.param("strong-consensus-m", FDSpec.foresight(), id="strong-consensus-m"),
+        ],
+    )
+    def test_reports_equal_the_reference_scan(self, name: str, fd: FDSpec) -> None:
+        alg, interp, _ = builtin_algorithm(name, 2)
+        predicates = (ConsensusPredicate(), StrongConsensusPredicate(), PlantedLengthSensitive())
+        failing = 0
+        for window, budget, predicate in product((None, 1, 2), (0, 1), predicates):
+            bounds = EnumerationBounds(
+                n=2, horizon=2, max_steps=3, history_budget=budget, fairness_window=window
+            )
+            lax, quiescent, probe = reference_report_docs(alg, fd, interp, predicate, bounds)
+            assert _untimed(check_solves(alg, fd, interp, predicate, bounds)) == lax
+            assert (
+                _untimed(check_solves(alg, fd, interp, predicate, bounds, require_quiescence=True))
+                == quiescent
+            )
+            assert _untimed(counterexample_probe(alg, fd, interp, predicate, bounds)) == probe
+            failing += probe["found"]
+        assert failing > 0
+
+    def test_uncovered_state_is_reported_as_the_reference_does(self) -> None:
+        bounds = EnumerationBounds(n=2, horizon=2, max_steps=3)
+        strict = replace(bounds, mode=ValidationMode.STRICT_FAIRNESS)
+        run = next(r for r in enumerate_runs(ALG, FD, strict) if len(r.schedule) >= 2)
+        step = run.schedule[-1]
+        assert step.post not in ALG.initial_states(step.actor)
+        maps = list(INTERP.maps)
+        maps[step.actor] = {q: v for q, v in maps[step.actor].items() if q != step.post}
+        broken = Interpretation(tuple(maps), INTERP.sigma, INTERP.sigma_init)
+        with pytest.raises(UncoveredState) as expected:
+            reference_report_docs(ALG, FD, broken, PREDICATE, bounds)
+        with pytest.raises(UncoveredState) as solves:
+            check_solves(ALG, FD, broken, PREDICATE, bounds)
+        with pytest.raises(UncoveredState) as probe:
+            counterexample_probe(ALG, FD, broken, PREDICATE, bounds)
+        assert str(solves.value) == str(probe.value) == str(expected.value)
+
+
+def _untimed(report) -> dict:
+    return {key: value for key, value in report.to_dict().items() if key != "elapsed_seconds"}
 
 
 class TestCounterexampleProbe:

@@ -167,6 +167,13 @@ class TestRunDocuments:
             doc = dict(stepped)
             doc["schedule"] = [dict(step, **{field: value})] + stepped["schedule"][1:]
             cases.append(doc)
+        # a repeated pattern time or history cell in place of another one
+        doc = dict(good)
+        doc["pattern"] = [good["pattern"][0]] * 2 + good["pattern"][2:]
+        cases.append(doc)
+        doc = dict(good)
+        doc["history"] = [good["history"][0]] * 2 + good["history"][2:]
+        cases.append(doc)
         for case in cases:
             with pytest.raises(DomainMismatch):
                 run_from_doc(case, ALG)
@@ -244,4 +251,8 @@ class TestAlgorithmDocuments:
         doc = dict(good)
         doc["table"] = [5, []]
         with pytest.raises(DomainMismatch):
+            algorithm_from_doc(doc)
+        doc = dict(good)
+        doc["table"] = [good["table"][0] + [dict(row, post="garbage")], good["table"][1]]
+        with pytest.raises(DomainMismatch, match="twice"):
             algorithm_from_doc(doc)

@@ -234,3 +234,9 @@ class TestStrictFairness:
             validate_run(
                 rich_run, ALG, FD, ValidationMode.STRICT_FAIRNESS, fairness_window=0
             )
+
+    @pytest.mark.parametrize("mode", list(ValidationMode), ids=lambda mode: mode.value)
+    def test_window_is_refused_in_every_mode(self, rich_run: Run, mode) -> None:
+        for window in (0, -1):
+            with pytest.raises(DomainMismatch, match="fairness window"):
+                validate_run(rich_run, ALG, FD, mode, fairness_window=window)
