@@ -48,12 +48,6 @@ def _add_bounds_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--history-budget", type=int, default=0, help="oracle-history perturbation budget"
     )
-    parser.add_argument(
-        "--fairness-window",
-        type=int,
-        default=None,
-        help="longest tolerated survivor idle stretch (default: horizon + 1)",
-    )
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -119,6 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count runs that merely ran out of horizon as violations",
     )
+    p_pr.add_argument(
+        "--fairness-window",
+        type=int,
+        default=None,
+        help="longest tolerated survivor idle stretch (default: horizon + 1)",
+    )
     _add_bounds_flags(p_pr)
     _add_common_flags(p_pr)
 
@@ -158,7 +158,6 @@ def _bounds_from_args(args: argparse.Namespace) -> EnumerationBounds:
         horizon=args.horizon,
         max_steps=args.max_steps,
         history_budget=args.history_budget,
-        fairness_window=args.fairness_window,
     )
 
 
@@ -237,7 +236,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         ConsensusPredicate() if args.problem == "consensus" else StrongConsensusPredicate()
     )
     fd = _parse_fd(args.fd, args.marabout_strict_live)
-    bounds = _bounds_from_args(args)
+    bounds = dataclasses.replace(_bounds_from_args(args), fairness_window=args.fairness_window)
     if args.require_quiescence:
         report = check_solves(
             alg, fd, interp, predicate, bounds, require_quiescence=True

@@ -17,9 +17,10 @@ and each run's verdict comes from the observable rows and agreement-monitor
 state it shares with the previous run, so no run is re-interpreted from its
 initial states.  ``verify_sos`` / ``verify_das`` check that the stall and
 delay wrappers preserve solvability, clause by clause on every run.  All of
-them expand the same schedule trees; the verifiers add incremental per-step
-checks and share one driver over patterns, history groups and initial
-states.
+them expand the same schedule trees, one tree per call re-rooted at each
+family.  Each preservation claim is one walker class that states the whole
+claim and adds incremental per-step checks; one walker serves a call, and
+``_verify_claim`` takes it over patterns, history groups and initial states.
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -29,9 +30,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .detectors import (
     FDSpec,
@@ -207,7 +207,8 @@ def _run_space(
     """The patterns and initial-state choices to sweep, and the family estimate.
 
     Refuses a space that holds no run, because a check over it would report
-    success without having looked at anything, and a space whose estimate
+    success without having looked at anything, explicit patterns or initial
+    states of another shape than the bounds, and a space whose estimate
     exceeds the run cap.
     """
     if alg.n != bounds.n:
@@ -215,6 +216,18 @@ def _run_space(
     inits = bounds.inits if bounds.inits is not None else init_combinations(alg)
     if bounds.patterns == () or not inits:
         raise DomainMismatch("the bounds admit no crash pattern or no initial states")
+    for f in bounds.patterns or ():
+        if (f.n, f.horizon) != (bounds.n, bounds.horizon):
+            raise DomainMismatch(
+                f"a pattern over {f.n} processes and horizon {f.horizon} does not fit "
+                f"bounds over {bounds.n} processes and horizon {bounds.horizon}"
+            )
+    for init in inits:
+        if len(init) != bounds.n:
+            raise DomainMismatch(
+                f"a choice of {len(init)} initial states does not fit bounds "
+                f"over {bounds.n} processes"
+            )
     estimate = estimate_run_families(bounds, len(inits))
     cap = bounds.resolved_cap()
     if estimate > cap:
@@ -254,29 +267,26 @@ def history_groups(
 
 
 class _ScheduleTree:
-    """The schedule tree of one (pattern, history, initial states) family.
+    """The schedule trees of one call, one (pattern, history, initial states)
+    family at a time.
 
-    Holds the current path: per-process states, the messages in transit (in
-    send order), the schedule and its times.  ``delta_cache`` memoizes
-    ``alg.transition`` and is shared by every tree of one call.
+    ``start`` roots the tree at a family.  The tree holds the current path:
+    per-process states, the messages in transit (in send order), the
+    schedule and its times.  ``delta_cache`` memoizes ``alg.transition`` for
+    every family of the call.
     """
 
-    def __init__(
-        self,
-        alg: Algorithm,
-        pattern: FailurePattern,
-        history: History,
-        init: tuple[State, ...],
-        max_steps: int,
-        delta_cache: dict,
-    ):
+    def __init__(self, alg: Algorithm, max_steps: int):
         self.alg = alg
+        self.max_steps = max_steps
+        self.n = alg.n
+        self.delta_cache: dict = {}
+
+    def start(self, pattern: FailurePattern, history: History, init: tuple[State, ...]) -> None:
+        """Root the tree at a family, with the empty path."""
         self.pattern = pattern
         self.history = history
         self.init = init
-        self.max_steps = max_steps
-        self.delta_cache = delta_cache
-        self.n = pattern.n
         self.horizon = pattern.horizon
         self.states: list[State] = list(init)
         self.transit: list[Message] = []
@@ -415,11 +425,11 @@ def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Ite
     """
     patterns, inits, _ = _run_space(alg, bounds)
     strict = bounds.mode is ValidationMode.STRICT_FAIRNESS
-    delta_cache: dict = {}
+    tree = _ScheduleTree(alg, bounds.max_steps)
     for pattern in patterns:
         for history in perturbed_histories(fd, pattern, bounds.history_budget):
             for init in inits:
-                tree = _ScheduleTree(alg, pattern, history, init, bounds.max_steps, delta_cache)
+                tree.start(pattern, history, init)
                 yield from tree.fair_runs(bounds.fairness_window) if strict else tree.runs()
 
 
@@ -461,6 +471,21 @@ class _SequenceJudge:
         return _verdict(self.predicate, tuple(self.rows), self.pattern)
 
 
+def _judge(
+    predicate: ProblemPredicate, sigma: frozenset[str], letters: list[str], pattern: FailurePattern
+) -> _AgreementMonitor | _SequenceJudge:
+    """The judge of a sequence that starts at ``letters`` and grows by
+    ``push``: ``_AgreementMonitor`` for the two agreement predicates over an
+    alphabet of agreement letters, ``_SequenceJudge`` for anything else."""
+    if (
+        type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
+        and sigma <= AGREEMENT_ALPHABET
+    ):
+        strong = isinstance(predicate, StrongConsensusPredicate)
+        return _AgreementMonitor(letters, pattern.correct(), strong)
+    return _SequenceJudge(letters, predicate, pattern)
+
+
 def _fair_verdicts(
     alg: Algorithm,
     fd: FDSpec,
@@ -475,29 +500,18 @@ def _fair_verdicts(
     run is kept with a stack of the steps pushed into it: per run, only the
     steps after the longest prefix of identical ``Step`` objects are popped
     and pushed, each as its actor's new letter.  The judge starts over
-    whenever the (pattern, history, initial states) family changes.  The two
-    agreement predicates over agreement letters are judged by
-    ``_AgreementMonitor``; any other predicate reads the whole sequence.
+    whenever the (pattern, history, initial states) family changes.
     """
     interp.check_initial_cover(alg.initial_states)
     of = interp.of
-    monitored = (
-        type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
-        and interp.sigma <= AGREEMENT_ALPHABET
-    )
-    strong = isinstance(predicate, StrongConsensusPredicate)
     pattern = history = init = None
-    judge: _AgreementMonitor | _SequenceJudge
     steps: list[Step] = []
     tokens: list = []
     for run in enumerate_runs(alg, fd, strict_bounds):
         if run.init is not init or run.history is not history or run.pattern is not pattern:
             pattern, history, init = run.pattern, run.history, run.init
             letters = [of(i, s) for i, s in enumerate(init)]
-            if monitored:
-                judge = _AgreementMonitor(letters, pattern.correct(), strong)
-            else:
-                judge = _SequenceJudge(letters, predicate, pattern)
+            judge = _judge(predicate, interp.sigma, letters, pattern)
             steps, tokens = [], []
         schedule = run.schedule
         keep = 0
@@ -861,64 +875,71 @@ def _record_failure(
 
 
 class _TreeWalker(_ScheduleTree):
-    """A schedule tree walked under one preservation claim.
+    """One preservation claim, walked over every schedule tree of one call.
 
-    Adds the observable letters, the predicate monitor and the per-run
-    violations carried by the current path; subclasses say which initial
-    states and steps the run mapping changes, and implement the per-step
-    clause checks and the mapping half of the per-node slow-path
-    cross-check.  ``memo`` caches walked subtrees for the whole call;
-    ``tallies`` interns their (clause, detail) -> count tallies.
+    A subclass states the whole claim: ``theorem``, ``fd``, ``k``, ``wrap``,
+    ``derive``, ``map_pattern``, ``membership`` and its clause names, which
+    initial states and steps the run mapping changes, the per-step clause
+    checks and the mapping half of the per-node slow-path cross-check.  The
+    walker adds the observable letters, the predicate's judge and the per-run
+    violations carried by the current path.  ``failures``, ``memo`` (walked
+    subtrees) and ``tallies`` (interned (clause, detail) -> count tallies)
+    last for the whole call.
     """
 
+    theorem: str
+    fd: FDSpec
+    k: int | None = None
     c_clause: str
     d_clause: str
+    membership_clause: str
+    membership_subject: str
 
     def __init__(
         self,
         base_alg: Algorithm,
         interp: Interpretation,
-        v_tilde: Interpretation,
         predicate: ProblemPredicate,
+        max_steps: int,
+        derived_interp: Interpretation | None,
         thorough: bool,
-        failures: list[ClauseFailure],
-        memo: dict,
-        tallies: dict,
-        fd: FDSpec,
-        mapped_pattern: FailurePattern,
-        *tree,
     ):
-        super().__init__(*tree)
-        self.fd = fd
+        interp.check_initial_cover(base_alg.initial_states)
+        if derived_interp is None:
+            derived_interp = self.derive(interp, base_alg)
+        self.v_tilde = derived_interp
+        super().__init__(self.wrap(base_alg), max_steps)
         self.base_alg = base_alg
         self.interp = interp
-        self.v_tilde = v_tilde
         self.predicate = predicate
         self.thorough = thorough
-        self.failures = failures
-        self.memo = memo
-        self.tallies = tallies
+        self.failures: list[ClauseFailure] = []
+        self.memo: dict = {}
+        self.tallies: dict = {}
+
+    def start(
+        self,
+        pattern: FailurePattern,
+        history: History,
+        init: tuple[State, ...],
+        mapped_pattern: FailurePattern,
+        multiplier: int,
+    ) -> None:
+        """Root the walk at a family whose run maps under ``mapped_pattern``
+        and that stands for ``multiplier`` histories."""
+        super().start(pattern, history, init)
         self.mapped_pattern = mapped_pattern
-        self.use_monitor = type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
-        self.faulty = self.pattern.faulty()
-        self.letters: list[str] = [v_tilde.of(i, s) for i, s in enumerate(self.init)]
-        self.mapped_init = tuple(self.mapped_state(s) for s in self.init)
+        self.multiplier = multiplier
+        self.faulty = pattern.faulty()
+        self.letters: list[str] = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
+        self.mapped_init = tuple(self.mapped_state(s) for s in init)
         #: the original letters of the mapped run's initial states
-        self.mapped_letters = tuple(interp.of(i, q) for i, q in enumerate(self.mapped_init))
+        self.mapped_letters = tuple(self.interp.of(i, q) for i, q in enumerate(self.mapped_init))
         #: processes whose first letter differs from their mapped one
         self.init_mismatches = sum(a != b for a, b in zip(self.letters, self.mapped_letters))
         self.w_stack: list[tuple[str, ...]] = [tuple(self.letters)]
-        self.monitor = (
-            _AgreementMonitor(
-                self.letters,
-                self.pattern.correct(),
-                isinstance(predicate, StrongConsensusPredicate),
-            )
-            if self.use_monitor
-            else None
-        )
+        self.judge = _judge(self.predicate, self.v_tilde.sigma, self.letters, pattern)
         self.sticky: list[tuple[str, str]] = []
-        self.multiplier = 1
         #: (clause, detail) -> count recorded in the subtree being memoized;
         #: None until the first violation.
         self.tally: dict[tuple[str, str], int] | None = None
@@ -980,15 +1001,6 @@ class _TreeWalker(_ScheduleTree):
         the mapping, it does not manufacture it."""
         return _verdict(self.predicate, self.stutter_reference(), self.mapped_pattern) != "fail"
 
-    def predicate_verdict(self) -> str:
-        """'fail' | 'undecided' | 'decided' for the current sequence, directly."""
-        return _verdict(self.predicate, tuple(self.w_stack), self.pattern)
-
-    def classify_node(self) -> str:
-        if self.monitor is not None:
-            return self.monitor.classify()
-        return self.predicate_verdict()
-
     def record(self, clause: str, detail: str) -> None:
         tally = self.tally
         if tally is None:
@@ -1013,7 +1025,7 @@ class _TreeWalker(_ScheduleTree):
                 violations = violations + [
                     (self.c_clause, "observable sequence is not a stutter expansion")
                 ]
-        verdict = self.classify_node()
+        verdict = self.judge.classify()
         if verdict == "fail":
             if self.mapped_verdict_not_fail():
                 violations = violations + [
@@ -1047,7 +1059,7 @@ class _TreeWalker(_ScheduleTree):
             assert slow_c, "aligned paths must stutter-embed"
         else:
             assert slow_c == c_ok
-        slow_verdict = self.predicate_verdict()
+        slow_verdict = _verdict(self.predicate, tuple(self.w_stack), self.pattern)
         assert slow_verdict == verdict, f"{slow_verdict} != {verdict}"
         fast_d = any(clause == self.d_clause for clause, _ in violations)
         assert fast_d == (slow_verdict == "fail" and self.mapped_verdict_not_fail())
@@ -1108,7 +1120,7 @@ class _TreeWalker(_ScheduleTree):
 
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
         letters = self.letters
-        monitor = self.monitor
+        judge = self.judge
         sticky = self.sticky
         for step in self.children(t):
             actor = step.actor
@@ -1116,7 +1128,7 @@ class _TreeWalker(_ScheduleTree):
             old_letter = letters[actor]
             letters[actor] = new_letter
             self.w_stack.append(tuple(letters))
-            token = monitor.push(actor, new_letter) if monitor is not None else None
+            token = judge.push(actor, new_letter)
 
             step_viols, still_aligned = self.step_violations(step, aligned)
             sticky.extend(step_viols)
@@ -1126,27 +1138,37 @@ class _TreeWalker(_ScheduleTree):
 
             if step_viols:
                 del sticky[len(sticky) - len(step_viols):]
-            if token is not None:
-                monitor.pop(token)
+            judge.pop(token)
             self.w_stack.pop()
             letters[actor] = old_letter
 
 
 class _SosWalker(_TreeWalker):
-    """Clause checks for the stall wrapper under the full-foresight oracle."""
+    """The stall wrapper under the full-foresight oracle: its runs map to
+    runs of the base algorithm whose faulty processes crash at time 0."""
 
+    theorem = "sos-preservation"
+    fd = FDSpec.foresight()
     c_clause = "sos-c-stutter-relation"
     d_clause = "sos-d-problem-holds"
+    membership_clause = "sos-a-history-membership"
+    membership_subject = "stripped-run history"
+    wrap = staticmethod(stall_on_suspect)
+    derive = staticmethod(derive_interpretation_sos)
+    map_pattern = staticmethod(initial_crash_scenario)
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
+        return history_in_p(history, mapped_pattern)
+
+    def start(self, *family) -> None:
+        super().start(*family)
         self.live_at = tuple(self.pattern.live_at(t) for t in range(self.horizon + 1))
         # A subtree's outcome depends on the history only through the cells
         # live processes read, so the memo is sound only while those all hold
         # the horizon-faulty set, as the memo key assumes.
         self.memoize = (
             not self.thorough
-            and self.use_monitor
+            and isinstance(self.judge, _AgreementMonitor)
             and not self.init_mismatches
             and all(
                 self.history.at(p, t) == self.faulty
@@ -1163,14 +1185,14 @@ class _SosWalker(_TreeWalker):
         transit_key = tuple(
             sorted((m.sender, m.receiver, m.payload) for m in self.transit)
         )
-        assert self.monitor is not None
+        assert isinstance(self.judge, _AgreementMonitor)
         return (
             remaining,
             live_suffix,
             self.faulty,
             tuple(self.states),
             transit_key,
-            self.monitor.digest(),
+            self.judge.digest(),
         )
 
     def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
@@ -1245,15 +1267,39 @@ class _SosWalker(_TreeWalker):
 
 
 class _DasWalker(_TreeWalker):
-    """Clause checks for the delay wrapper under the accurate-after oracle."""
+    """The delay wrapper under the accurate-after-``k+1`` oracle: its runs
+    map, shifted one time point earlier, to runs under accurate-after-``k``."""
 
+    theorem = "das-preservation"
     c_clause = "das-c-stutter-relation"
     d_clause = "das-d-problem-holds"
+    membership_clause = "das-h-history-membership"
+    membership_subject = "mapped history"
+    wrap = staticmethod(delay_a_step)
+    derive = staticmethod(derive_interpretation_das)
 
-    def __init__(self, k: int, time_shift: bool, *args):
-        super().__init__(*args)
+    def __init__(
+        self,
+        k: int,
+        time_shift: bool,
+        base_alg: Algorithm,
+        interp: Interpretation,
+        predicate: ProblemPredicate,
+        max_steps: int,
+        derived_interp: Interpretation | None,
+        thorough: bool,
+    ):
         self.k = k
         self.time_shift = time_shift
+        self.fd = FDSpec.accurate_after(k + 1)
+        super().__init__(base_alg, interp, predicate, max_steps, derived_interp, thorough)
+
+    def map_pattern(self, pattern: FailurePattern) -> FailurePattern:
+        return shift_pattern(pattern) if self.time_shift else pattern
+
+    def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
+        shifted = shift_history(history) if self.time_shift else history
+        return history_in_pk(shifted, mapped_pattern, self.k)
 
     def mapped_state(self, state: State) -> State:
         return state.base if isinstance(state, DelayState) else state
@@ -1276,100 +1322,63 @@ class _DasWalker(_TreeWalker):
         assert interpret_run(mapped, self.interp) == self.stutter_reference()
 
 
-def _verify_claim(
-    theorem: str,
-    base_alg: Algorithm,
-    interp: Interpretation,
-    predicate: ProblemPredicate,
-    bounds: EnumerationBounds,
-    derived_interp: Interpretation | None,
-    thorough: bool,
-    *,
-    wrap: Callable[[Algorithm], Algorithm],
-    derive: Callable[[Interpretation, Algorithm], Interpretation],
-    fd: FDSpec,
-    k: int | None,
-    map_pattern: Callable[[FailurePattern], FailurePattern],
-    membership: Callable[[History, FailurePattern], MembershipVerdict],
-    membership_clause: str,
-    membership_subject: str,
-    make_walker: Callable[..., _TreeWalker],
-) -> TheoremReport:
-    """Walk every run of the wrapped machine ``wrap(base_alg)`` under ``fd``
-    and check one preservation claim.  ``derive`` extends ``interp`` to the
-    wrapped machine unless ``derived_interp`` is given.
+def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremReport:
+    """Check the walker's preservation claim on every run of its wrapped
+    algorithm under its oracle.
 
-    Per pattern, ``map_pattern`` gives the mapped run's pattern.  Per history
-    group, every member is judged by ``membership`` against it, and one
-    walker per initial-state choice walks the group's representative on
-    behalf of all members.
+    Each claim is one walker class, and one walker serves the whole call.
+    Per history group, every member is judged by ``membership`` against the
+    mapped pattern, and the walker walks the group's representative once per
+    initial-state choice on behalf of all members.  The claims cover every
+    prefix-consistent run, so strict fairness and fairness windows are
+    refused.
     """
     started = time.perf_counter()
-    interp.check_initial_cover(base_alg.initial_states)
-    v_tilde = derived_interp if derived_interp is not None else derive(interp, base_alg)
-    run_alg = wrap(base_alg)
-    patterns, inits, families = _run_space(run_alg, bounds)
+    if bounds.mode is not ValidationMode.PREFIX_CONSISTENT or bounds.fairness_window is not None:
+        raise DomainMismatch(
+            "preservation claims cover every prefix-consistent run; "
+            "they take no strict-fairness mode and no fairness window"
+        )
+    patterns, inits, families = _run_space(walker.alg, bounds)
     totals = _WalkTotals()
-    failures: list[ClauseFailure] = []
     checked_histories = 0
-    delta_cache: dict = {}
-    memo: dict = {}
-    tallies: dict = {}
 
     for pattern in patterns:
-        mapped_pattern = map_pattern(pattern)
-        for rep, members in history_groups(fd, pattern, bounds.history_budget):
+        mapped_pattern = walker.map_pattern(pattern)
+        for rep, members in history_groups(walker.fd, pattern, bounds.history_budget):
             checked_histories += len(members)
             bad_memberships = []
             for h in members:
-                verdict = membership(h, mapped_pattern)
+                verdict = walker.membership(h, mapped_pattern)
                 if not verdict.prefix_consistent:
                     v = verdict.violations[0]
                     bad_memberships.append(
-                        f"{membership_subject} breaks {v.condition} "
+                        f"{walker.membership_subject} breaks {v.condition} "
                         f"(observer {v.observer}, subject {v.subject}, t={v.time})"
                     )
             group = _WalkTotals()
             for init in inits:
-                walker = make_walker(
-                    base_alg,
-                    interp,
-                    v_tilde,
-                    predicate,
-                    thorough,
-                    failures,
-                    memo,
-                    tallies,
-                    fd,
-                    mapped_pattern,
-                    run_alg,
-                    pattern,
-                    rep,
-                    init,
-                    bounds.max_steps,
-                    delta_cache,
-                )
-                walker.multiplier = len(members)
+                walker.start(pattern, rep, init, mapped_pattern, len(members))
                 walker.walk(group)
             totals.add_scaled(group, len(members))
             for detail in bad_memberships:
                 totals.violations += group.nodes
-                _record_failure(failures, membership_clause, detail, group.nodes)
+                _record_failure(walker.failures, walker.membership_clause, detail, group.nodes)
 
     return TheoremReport(
-        theorem=theorem,
-        algorithm=base_alg.name,
-        fd=fd.serialize(),
-        k=k,
+        theorem=walker.theorem,
+        algorithm=walker.base_alg.name,
+        fd=walker.fd.serialize(),
+        k=walker.k,
         bounds=bounds.to_dict(),
         families=families,
         checked_runs=totals.nodes,
         checked_histories=checked_histories,
         failure_count=totals.violations,
-        failures=failures[:MAX_RECORDED_FAILURES],
+        failures=walker.failures[:MAX_RECORDED_FAILURES],
         decided_runs=totals.decided,
         undecided_runs=totals.undecided,
-        thorough=thorough,
+        thorough=walker.thorough,
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -1401,25 +1410,10 @@ def verify_sos(
     ``derived_interp`` overrides the automatically derived interpretation
     (used to demonstrate that a broken derivation is caught).  ``thorough``
     re-derives every node verdict from scratch and disables memoization.
+    Bounds in strict-fairness mode or with a fairness window are refused.
     """
-    return _verify_claim(
-        "sos-preservation",
-        base_alg,
-        interp,
-        predicate,
-        bounds,
-        derived_interp,
-        thorough,
-        wrap=stall_on_suspect,
-        derive=derive_interpretation_sos,
-        fd=FDSpec.foresight(),
-        k=None,
-        map_pattern=initial_crash_scenario,
-        membership=lambda h, f0: history_in_p(h, f0),
-        membership_clause="sos-a-history-membership",
-        membership_subject="stripped-run history",
-        make_walker=_SosWalker,
-    )
+    walker = _SosWalker(base_alg, interp, predicate, bounds.max_steps, derived_interp, thorough)
+    return _verify_claim(walker, bounds)
 
 
 def verify_das(
@@ -1453,25 +1447,9 @@ def verify_das(
     ``time_shift=False`` skips the re-timing in both the mapping and the
     membership clause, demonstrating that the shift is what makes clause (h)
     hold.  ``thorough`` re-derives every node verdict from scratch.
+    Bounds in strict-fairness mode or with a fairness window are refused.
     """
-    def membership(h: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
-        return history_in_pk(shift_history(h) if time_shift else h, mapped_pattern, k)
-
-    return _verify_claim(
-        "das-preservation",
-        base_alg,
-        interp,
-        predicate,
-        bounds,
-        derived_interp,
-        thorough,
-        wrap=delay_a_step,
-        derive=derive_interpretation_das,
-        fd=FDSpec.accurate_after(k + 1),
-        k=k,
-        map_pattern=shift_pattern if time_shift else (lambda pattern: pattern),
-        membership=membership,
-        membership_clause="das-h-history-membership",
-        membership_subject="mapped history",
-        make_walker=partial(_DasWalker, k, time_shift),
+    walker = _DasWalker(
+        k, time_shift, base_alg, interp, predicate, bounds.max_steps, derived_interp, thorough
     )
+    return _verify_claim(walker, bounds)

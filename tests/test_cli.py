@@ -181,6 +181,20 @@ class TestVerify:
         assert code == 3
         assert "exceed the cap of 10" in capsys.readouterr().err
 
+    def test_fairness_window_is_a_usage_error(self, capsys) -> None:
+        """The claims walk every prefix-consistent run; only ``probe`` takes a
+        fairness window."""
+        code = main(
+            ["verify", "sos", "flood-consensus-p", "--horizon", "2", "--max-steps", "2",
+             "--fairness-window", "1"]
+        )
+        assert code == 2
+        assert "--fairness-window" in capsys.readouterr().err
+        assert main(
+            ["probe", "flood-consensus-p", "--fd", "P", "--problem", "consensus",
+             "--horizon", "2", "--max-steps", "2", "--fairness-window", "1"]
+        ) == 0
+
     def test_malformed_run_cap_is_a_usage_error(self, capsys, monkeypatch) -> None:
         monkeypatch.setenv("FDLAB_RUN_CAP", "abc")
         code = main(["verify", "sos", "flood-consensus-p", "--n", "2", "--horizon", "2"])

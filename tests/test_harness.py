@@ -24,6 +24,7 @@ from fdlab import (
     verify_das,
     verify_sos,
 )
+from fdlab import harness
 from fdlab.detectors import perturbed_histories
 from fdlab.errors import BudgetExceeded, DomainMismatch, UncoveredState
 from fdlab.harness import (
@@ -157,6 +158,28 @@ class TestEnumerateRuns:
             with pytest.raises(DomainMismatch, match="admit no"):
                 verify_das(ALG, INTERP, PREDICATE, 0, bounds)
 
+    def test_explicit_patterns_and_inits_must_fit_the_bounds(self) -> None:
+        """Patterns over another horizon or process count, and initial-state
+        choices of another width, are refused instead of walked or crashed on."""
+        q = ALG.initial_states(0)[0]
+        misfits = (
+            EnumerationBounds(n=2, horizon=2, max_steps=3, patterns=all_monotone_patterns(2, 4)),
+            EnumerationBounds(n=2, horizon=2, max_steps=3, patterns=all_monotone_patterns(3, 2)),
+            EnumerationBounds(n=2, horizon=2, max_steps=3, inits=((q,),)),
+            EnumerationBounds(n=2, horizon=2, max_steps=3, inits=((q, q, q),)),
+        )
+        for bounds in misfits:
+            with pytest.raises(DomainMismatch, match="does not fit"):
+                next(enumerate_runs(ALG, FD, bounds))
+            with pytest.raises(DomainMismatch, match="does not fit"):
+                check_solves(ALG, FD, INTERP, PREDICATE, bounds)
+            with pytest.raises(DomainMismatch, match="does not fit"):
+                counterexample_probe(ALG, FD, INTERP, PREDICATE, bounds)
+            with pytest.raises(DomainMismatch, match="does not fit"):
+                verify_sos(ALG, INTERP, PREDICATE, bounds)
+            with pytest.raises(DomainMismatch, match="does not fit"):
+                verify_das(ALG, INTERP, PREDICATE, 0, bounds)
+
     def test_cap_refuses_before_any_work(self) -> None:
         bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, run_cap=10)
         with pytest.raises(BudgetExceeded, match="exceed the cap of 10"):
@@ -280,6 +303,13 @@ def _untimed(report) -> dict:
     return {key: value for key, value in report.to_dict().items() if key != "elapsed_seconds"}
 
 
+def _sabotaged_sos(alg, interp: Interpretation) -> Interpretation:
+    """Criterion 3's sabotage: one stall state shows the wrong letter."""
+    q = alg.initial_states(0)[0]
+    wrong = "1|-" if interp.of(0, q) != "1|-" else "0|-"
+    return derive_interpretation_sos(interp, alg).replaced(0, StallState(q), wrong)
+
+
 class TestCounterexampleProbe:
     def test_flood_breaks_strong_anchoring(self) -> None:
         """The minimum rule can decide a crashed process's value, which the
@@ -320,11 +350,7 @@ class TestTheoremChecks:
         every recorded failure's clause, detail, multiplicity and run.  The
         sabotaged derivation (criterion 3's) makes memo hits carry failures."""
         alg, interp, predicate = builtin_algorithm(name, 2)
-        derived = None
-        if sabotaged:
-            q = alg.initial_states(0)[0]
-            wrong = "1|-" if interp.of(0, q) != "1|-" else "0|-"
-            derived = derive_interpretation_sos(interp, alg).replaced(0, StallState(q), wrong)
+        derived = _sabotaged_sos(alg, interp) if sabotaged else None
         fast = verify_sos(alg, interp, predicate, self.BOUNDS, derived_interp=derived)
         slow = verify_sos(
             alg, interp, predicate, self.BOUNDS, derived_interp=derived, thorough=True
@@ -334,6 +360,41 @@ class TestTheoremChecks:
                       "decided_runs", "undecided_runs", "families"):
             assert getattr(fast, field) == getattr(slow, field), field
         assert [f.to_dict() for f in fast.failures] == [f.to_dict() for f in slow.failures]
+
+    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
+    def test_stall_memo_on_equals_memo_off_at_three_processes(
+        self, name: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """At n = 3 memo hits cross patterns and initial states; whole reports,
+        clean and sabotaged, must not depend on them.  A memoized call after
+        the sabotaged one checks that no state outlives a call."""
+        alg, interp, predicate = builtin_algorithm(name, 3)
+        bounds = EnumerationBounds(n=3, horizon=4, max_steps=4)
+
+        def report(derived: Interpretation | None) -> dict:
+            return _untimed(verify_sos(alg, interp, predicate, bounds, derived_interp=derived))
+
+        clean = report(None)
+        sabotaged = report(_sabotaged_sos(alg, interp))
+        assert report(None) == clean
+        assert clean["failure_count"] == 0 < sabotaged["failure_count"]
+        monkeypatch.setattr(harness._SosWalker, "memo_view", lambda self, aligned: None)
+        assert report(None) == clean
+        assert report(_sabotaged_sos(alg, interp)) == sabotaged
+
+    def test_claims_refuse_fairness_bounds(self) -> None:
+        """Both claims walk every prefix-consistent run, so a strict mode or a
+        fairness window would be reported without being applied."""
+        strict = ValidationMode.STRICT_FAIRNESS
+        for bounds in (
+            EnumerationBounds(n=2, horizon=2, max_steps=2, mode=strict),
+            EnumerationBounds(n=2, horizon=2, max_steps=2, mode=strict, fairness_window=1),
+            EnumerationBounds(n=2, horizon=2, max_steps=2, fairness_window=1),
+        ):
+            with pytest.raises(DomainMismatch, match="fairness"):
+                verify_sos(ALG, INTERP, PREDICATE, bounds)
+            with pytest.raises(DomainMismatch, match="fairness"):
+                verify_das(ALG, INTERP, PREDICATE, 0, bounds)
 
     @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
     def test_delay_preservation_fast_equals_thorough(self, name: str) -> None:
