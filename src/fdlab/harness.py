@@ -117,7 +117,9 @@ class EnumerationBounds:
     """Everything that makes an exhaustive enumeration finite.
 
     ``patterns`` and ``inits`` default to every monotone crash pattern and
-    every combination of initial states.  ``run_cap`` bounds the a-priori
+    every combination of initial states.  Explicit ``inits`` hold initial
+    states of the algorithm that is walked: for ``verify_das``, the delay
+    wrapper's ``DelayState``s.  ``run_cap`` bounds the a-priori
     estimate of run families (pattern x history x initial-state choices); it
     falls back to the ``FDLAB_RUN_CAP`` environment variable, then to
     ``DEFAULT_RUN_CAP``.
@@ -208,8 +210,9 @@ def _run_space(
 
     Refuses a space that holds no run, because a check over it would report
     success without having looked at anything, explicit patterns or initial
-    states of another shape than the bounds, and a space whose estimate
-    exceeds the run cap.
+    states of another shape than the bounds, initial-state choices holding a
+    state that is not initial for ``alg``, and a space whose estimate exceeds
+    the run cap.
     """
     if alg.n != bounds.n:
         raise DomainMismatch(f"algorithm is over {alg.n} processes, bounds over {bounds.n}")
@@ -228,6 +231,9 @@ def _run_space(
                 f"a choice of {len(init)} initial states does not fit bounds "
                 f"over {bounds.n} processes"
             )
+        for p, q in enumerate(init):
+            if q not in alg.initial_states(p):
+                raise DomainMismatch(f"process {p} cannot start in {q!r}: not an initial state")
     estimate = estimate_run_families(bounds, len(inits))
     cap = bounds.resolved_cap()
     if estimate > cap:
@@ -841,37 +847,35 @@ class _AgreementMonitor:
 
 
 class _WalkTotals:
-    __slots__ = ("nodes", "violations", "decided", "undecided")
+    """What a walk found: runs (``nodes``), (run, clause) violations, decided
+    and undecided runs, and ``tally``, the occurrences of each (clause,
+    detail) pair in first-seen order (``None`` while empty).  One record
+    serves a memoized subtree, a history group and a whole call."""
+
+    __slots__ = ("nodes", "violations", "decided", "undecided", "tally")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.violations = 0
         self.decided = 0
         self.undecided = 0
+        self.tally: dict[tuple[str, str], int] | None = None
 
-    def add_scaled(self, other: "_WalkTotals", factor: int) -> None:
+    def count(self, pair: tuple[str, str], times: int) -> None:
+        tally = self.tally
+        if tally is None:
+            tally = self.tally = {}
+        tally[pair] = tally.get(pair, 0) + times
+
+    def add(self, other: "_WalkTotals", factor: int = 1) -> None:
+        """Credit ``factor`` copies of ``other``."""
         self.nodes += other.nodes * factor
         self.violations += other.violations * factor
         self.decided += other.decided * factor
         self.undecided += other.undecided * factor
-
-
-def _record_failure(
-    failures: list[ClauseFailure],
-    clause: str,
-    detail: str,
-    multiplicity: int,
-    doc_factory=None,
-) -> None:
-    """Merge a violation into the recorded list; the run document is only
-    materialized the first time a (clause, detail) pair is seen."""
-    for existing in failures:
-        if existing.clause == clause and existing.detail == detail:
-            existing.multiplicity += multiplicity
-            return
-    if len(failures) < MAX_RECORDED_FAILURES:
-        doc = doc_factory() if doc_factory is not None else None
-        failures.append(ClauseFailure(clause, detail, multiplicity, doc))
+        if other.tally is not None:
+            for pair, times in other.tally.items():
+                self.count(pair, times * factor)
 
 
 class _TreeWalker(_ScheduleTree):
@@ -882,9 +886,11 @@ class _TreeWalker(_ScheduleTree):
     initial states and steps the run mapping changes, the per-step clause
     checks and the mapping half of the per-node slow-path cross-check.  The
     walker adds the observable letters, the predicate's judge and the per-run
-    violations carried by the current path.  ``failures``, ``memo`` (walked
-    subtrees) and ``tallies`` (interned (clause, detail) -> count tallies)
-    last for the whole call.
+    violations carried by the current path.  ``examples`` (for each of the
+    first ``MAX_RECORDED_FAILURES`` (clause, detail) pairs, the document of
+    the first run seen, or ``None`` for a membership clause) and ``memo``
+    (each walked subtree's ``_WalkTotals``, their tallies interned) last for
+    the whole call.
     """
 
     theorem: str
@@ -913,9 +919,9 @@ class _TreeWalker(_ScheduleTree):
         self.interp = interp
         self.predicate = predicate
         self.thorough = thorough
-        self.failures: list[ClauseFailure] = []
-        self.memo: dict = {}
-        self.tallies: dict = {}
+        self.examples: dict[tuple[str, str], dict | None] = {}
+        self.memo: dict[tuple, _WalkTotals] = {}
+        self.tallies: dict[tuple, dict[tuple[str, str], int]] = {}
 
     def start(
         self,
@@ -923,13 +929,10 @@ class _TreeWalker(_ScheduleTree):
         history: History,
         init: tuple[State, ...],
         mapped_pattern: FailurePattern,
-        multiplier: int,
     ) -> None:
-        """Root the walk at a family whose run maps under ``mapped_pattern``
-        and that stands for ``multiplier`` histories."""
+        """Root the walk at a family whose run maps under ``mapped_pattern``."""
         super().start(pattern, history, init)
         self.mapped_pattern = mapped_pattern
-        self.multiplier = multiplier
         self.faulty = pattern.faulty()
         self.letters: list[str] = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
         self.mapped_init = tuple(self.mapped_state(s) for s in init)
@@ -939,10 +942,8 @@ class _TreeWalker(_ScheduleTree):
         self.init_mismatches = sum(a != b for a, b in zip(self.letters, self.mapped_letters))
         self.w_stack: list[tuple[str, ...]] = [tuple(self.letters)]
         self.judge = _judge(self.predicate, self.v_tilde.sigma, self.letters, pattern)
+        #: per-run clause violations carried by the current path
         self.sticky: list[tuple[str, str]] = []
-        #: (clause, detail) -> count recorded in the subtree being memoized;
-        #: None until the first violation.
-        self.tally: dict[tuple[str, str], int] | None = None
 
     # -- specialized by subclasses -------------------------------------------
 
@@ -954,10 +955,6 @@ class _TreeWalker(_ScheduleTree):
         """Clause violations introduced by this step, and whether the
         observable alignment invariant survives it."""
         raise NotImplementedError
-
-    def sticky_violations(self) -> list[tuple[str, str]]:
-        """Per-run clause violations carried by the current path."""
-        return self.sticky
 
     def dropped(self, step: Step) -> bool:
         """Does the run mapping drop this step?"""
@@ -1001,23 +998,9 @@ class _TreeWalker(_ScheduleTree):
         the mapping, it does not manufacture it."""
         return _verdict(self.predicate, self.stutter_reference(), self.mapped_pattern) != "fail"
 
-    def record(self, clause: str, detail: str) -> None:
-        tally = self.tally
-        if tally is None:
-            tally = self.tally = {}
-        pair = (clause, detail)
-        tally[pair] = tally.get(pair, 0) + 1
-        _record_failure(
-            self.failures,
-            clause,
-            detail,
-            self.multiplier,
-            lambda: run_to_doc(self.run(), self.alg),
-        )
-
     def account_node(self, totals: _WalkTotals, aligned: bool) -> None:
         totals.nodes += 1
-        violations = self.sticky_violations()
+        violations = self.sticky
         c_ok = True
         if not aligned:
             c_ok = is_stutter(self.stutter_reference(), tuple(self.w_stack))
@@ -1041,8 +1024,11 @@ class _TreeWalker(_ScheduleTree):
             totals.undecided += 1
         if violations:
             totals.violations += len({clause for clause, _ in violations})
-            for clause, detail in violations:
-                self.record(clause, detail)
+            examples = self.examples
+            for pair in violations:
+                totals.count(pair, 1)
+                if pair not in examples and len(examples) < MAX_RECORDED_FAILURES:
+                    examples[pair] = run_to_doc(self.run(), self.alg)
         if self.thorough:
             self.slow_check(aligned, c_ok, verdict, violations)
 
@@ -1072,11 +1058,12 @@ class _TreeWalker(_ScheduleTree):
             self.expand(totals, window_start, aligned)
 
     def expand(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
-        """Walk the children at time ``t``, or credit them from the memo.
+        """Walk the children at time ``t`` into ``totals``, or credit them
+        from the memo.
 
-        A memo entry holds the subtree's totals and its (clause, detail)
-        tally; a hit replays the tally at this walker's multiplier.  Either
-        way the tally joins the tally of the subtree being memoized around it.
+        A memo entry is the subtree's ``_WalkTotals``, clause tally included.
+        A miss walks the children into a fresh record and stores it; a hit
+        and a miss alike end by adding that record to ``totals``.
         """
         depth = len(self.schedule)
         if depth >= self.max_steps or t > self.horizon:
@@ -1086,37 +1073,15 @@ class _TreeWalker(_ScheduleTree):
             self.expand_children(totals, t, aligned)
             return
         key = self.memo_key(t, min(self.max_steps - depth, self.horizon + 1 - t))
-        hit = memo.get(key)
-        if hit is None:
-            outer = self.tally
-            self.tally = None
-            snap = (totals.nodes, totals.violations, totals.decided, totals.undecided)
-            self.expand_children(totals, t, aligned)
-            tally = self.tally
-            if tally is not None:
-                tally = tuple(tally.items())
-                tally = self.tallies.setdefault(tally, tally)
-            memo[key] = (
-                totals.nodes - snap[0],
-                totals.violations - snap[1],
-                totals.decided - snap[2],
-                totals.undecided - snap[3],
-                tally,
-            )
-            self.tally = outer
-        else:
-            nodes, violations, decided, undecided, tally = hit
-            totals.nodes += nodes
-            totals.violations += violations
-            totals.decided += decided
-            totals.undecided += undecided
-            for (clause, detail), count in tally or ():
-                _record_failure(self.failures, clause, detail, count * self.multiplier)
-        if tally is not None:
-            merged = self.tally if self.tally is not None else {}
-            for pair, count in tally:
-                merged[pair] = merged.get(pair, 0) + count
-            self.tally = merged
+        subtree = memo.get(key)
+        if subtree is None:
+            subtree = _WalkTotals()
+            self.expand_children(subtree, t, aligned)
+            if subtree.tally is not None:
+                # few distinct tallies recur across many subtrees: keep one copy
+                subtree.tally = self.tallies.setdefault(tuple(subtree.tally.items()), subtree.tally)
+            memo[key] = subtree
+        totals.add(subtree)
 
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
         letters = self.letters
@@ -1162,6 +1127,13 @@ class _SosWalker(_TreeWalker):
 
     def start(self, *family) -> None:
         super().start(*family)
+        if self.init_mismatches:
+            self.sticky.append(
+                (
+                    "sos-b-interpretation-equality",
+                    "derived interpretation disagrees on an initial state",
+                )
+            )
         self.live_at = tuple(self.pattern.live_at(t) for t in range(self.horizon + 1))
         # A subtree's outcome depends on the history only through the cells
         # live processes read, so the memo is sound only while those all hold
@@ -1229,16 +1201,6 @@ class _SosWalker(_TreeWalker):
                 )
                 still_aligned = False
         return out, still_aligned
-
-    def sticky_violations(self) -> list[tuple[str, str]]:
-        if not self.init_mismatches:
-            return self.sticky
-        return self.sticky + [
-            (
-                "sos-b-interpretation-equality",
-                "derived interpretation disagrees on an initial state",
-            )
-        ]
 
     def dropped(self, step: Step) -> bool:
         return step.actor in self.faulty
@@ -1329,9 +1291,11 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
     Each claim is one walker class, and one walker serves the whole call.
     Per history group, every member is judged by ``membership`` against the
     mapped pattern, and the walker walks the group's representative once per
-    initial-state choice on behalf of all members.  The claims cover every
-    prefix-consistent run, so strict fairness and fairness windows are
-    refused.
+    initial-state choice into one ``_WalkTotals``, which the call total adds
+    once per member.  The report's failures are the call total's first
+    ``MAX_RECORDED_FAILURES`` (clause, detail) pairs with their example runs.
+    The claims cover every prefix-consistent run, so strict fairness and
+    fairness windows are refused.
     """
     started = time.perf_counter()
     if bounds.mode is not ValidationMode.PREFIX_CONSISTENT or bounds.fairness_window is not None:
@@ -1358,12 +1322,15 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
                     )
             group = _WalkTotals()
             for init in inits:
-                walker.start(pattern, rep, init, mapped_pattern, len(members))
+                walker.start(pattern, rep, init, mapped_pattern)
                 walker.walk(group)
-            totals.add_scaled(group, len(members))
+            totals.add(group, len(members))
             for detail in bad_memberships:
+                pair = (walker.membership_clause, detail)
                 totals.violations += group.nodes
-                _record_failure(walker.failures, walker.membership_clause, detail, group.nodes)
+                totals.count(pair, group.nodes)
+                if len(walker.examples) < MAX_RECORDED_FAILURES:
+                    walker.examples.setdefault(pair, None)
 
     return TheoremReport(
         theorem=walker.theorem,
@@ -1375,7 +1342,10 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
         checked_runs=totals.nodes,
         checked_histories=checked_histories,
         failure_count=totals.violations,
-        failures=walker.failures[:MAX_RECORDED_FAILURES],
+        failures=[
+            ClauseFailure(clause, detail, totals.tally[clause, detail], doc)
+            for (clause, detail), doc in walker.examples.items()
+        ],
         decided_runs=totals.decided,
         undecided_runs=totals.undecided,
         thorough=walker.thorough,

@@ -1,7 +1,8 @@
 """Whole-run validation against an algorithm, an oracle class, and a pattern.
 
 Two validation modes exist.  ``PREFIX_CONSISTENT`` checks every safety
-condition: crashed processes take no steps, oracle outputs match the history,
+condition: every process starts in one of its initial states, crashed
+processes take no steps, oracle outputs match the history,
 messages are received at most once and only after being sent, states chain
 correctly, every step is an actual transition of the algorithm, and the
 history is a safe member of the oracle class.  ``STRICT_FAIRNESS``
@@ -81,7 +82,11 @@ def validate_run(
         raise DomainMismatch(f"algorithm is over {alg.n} processes, run over {run.n}")
     if fairness_window is not None and fairness_window < 1:
         raise DomainMismatch(f"fairness window must be positive, got {fairness_window}")
-    violations: list[RunViolation] = []
+    violations = [
+        RunViolation("non-initial-state", None, f"process {p} starts in {q!r}, not initial")
+        for p, q in enumerate(run.init)
+        if q not in alg.initial_states(p)
+    ]
     horizon = run.horizon
 
     previous_time: int | None = None

@@ -60,6 +60,18 @@ class TestValidate:
         assert "invalid run" in out
         assert "time-order" in out
 
+    def test_non_initial_state_exits_one(self, tmp_path: Path, run_doc: dict, capsys) -> None:
+        """The empty run is valid only from initial states."""
+        later = next(q for q in ALG.reachable_states(0) if q not in ALG.initial_states(0))
+        run_doc.update(schedule=[], times=[])
+        run_doc["init"][0] = ALG.state_str(later)
+        path = tmp_path / "late.json"
+        path.write_text(canonical_json(run_doc))
+        code = main(["validate", str(path), "--algorithm", "flood-consensus-p", "--fd", "P"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "non-initial-state" in out
+
     def test_json_report(self, run_file: Path, capsys) -> None:
         code = main(
             ["validate", str(run_file), "--algorithm", "flood-consensus-p", "--fd", "P", "--json"]

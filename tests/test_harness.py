@@ -35,7 +35,7 @@ from fdlab.harness import (
     init_combinations,
 )
 from fdlab.traces import canonical_json, run_from_doc
-from fdlab.transforms import StallState, derive_interpretation_sos
+from fdlab.transforms import DelayState, StallState, derive_interpretation_sos
 
 from .oracles import PlantedLengthSensitive, reference_report_docs
 
@@ -180,6 +180,40 @@ class TestEnumerateRuns:
             with pytest.raises(DomainMismatch, match="does not fit"):
                 verify_das(ALG, INTERP, PREDICATE, 0, bounds)
 
+    def test_inits_must_be_initial_states_of_the_walked_machine(self) -> None:
+        """Runs start in initial states only: the algorithm's for the
+        solvability checks and the stall claim, whose wrapper starts where
+        the algorithm does, and the delay wrapper's ``DelayState``s for the
+        delay claim."""
+        later = next(q for q in ALG.reachable_states(0) if q not in ALG.initial_states(0))
+        stray = EnumerationBounds(
+            n=2, horizon=2, max_steps=3, inits=((later, ALG.initial_states(1)[0]),)
+        )
+        with pytest.raises(DomainMismatch, match="not an initial state"):
+            next(enumerate_runs(ALG, FD, stray))
+        with pytest.raises(DomainMismatch, match="not an initial state"):
+            check_solves(ALG, FD, INTERP, PREDICATE, stray)
+        with pytest.raises(DomainMismatch, match="not an initial state"):
+            counterexample_probe(ALG, FD, INTERP, PREDICATE, stray)
+        with pytest.raises(DomainMismatch, match="not an initial state"):
+            verify_sos(ALG, INTERP, PREDICATE, stray)
+
+        everywhere = EnumerationBounds(n=2, horizon=2, max_steps=3)
+        plain = replace(everywhere, inits=init_combinations(ALG))
+        delayed = replace(
+            plain, inits=tuple(tuple(DelayState(q) for q in init) for init in plain.inits)
+        )
+        with pytest.raises(DomainMismatch, match="not an initial state"):
+            verify_das(ALG, INTERP, PREDICATE, 0, plain)
+        for check, explicit in (
+            (lambda bounds: verify_sos(ALG, INTERP, PREDICATE, bounds), plain),
+            (lambda bounds: verify_das(ALG, INTERP, PREDICATE, 0, bounds), delayed),
+        ):
+            report, default = _untimed(check(explicit)), _untimed(check(everywhere))
+            assert report.pop("bounds")["inits"] == 4
+            default.pop("bounds")
+            assert report == default
+
     def test_cap_refuses_before_any_work(self) -> None:
         bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, run_cap=10)
         with pytest.raises(BudgetExceeded, match="exceed the cap of 10"):
@@ -303,6 +337,28 @@ def _untimed(report) -> dict:
     return {key: value for key, value in report.to_dict().items() if key != "elapsed_seconds"}
 
 
+class _AuditMemo(dict):
+    """A stall memo that never hits, so every subtree is walked each time;
+    a store under a key stored before must carry the first store's totals
+    and tally, in the same order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.repeats = 0
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, subtree) -> None:
+        tally = None if subtree.tally is None else tuple(subtree.tally.items())
+        record = (subtree.nodes, subtree.violations, subtree.decided, subtree.undecided, tally)
+        if key in self:
+            self.repeats += 1
+            assert self[key] == record, key
+        else:
+            super().__setitem__(key, record)
+
+
 def _sabotaged_sos(alg, interp: Interpretation) -> Interpretation:
     """Criterion 3's sabotage: one stall state shows the wrong letter."""
     q = alg.initial_states(0)[0]
@@ -381,6 +437,91 @@ class TestTheoremChecks:
         monkeypatch.setattr(harness._SosWalker, "memo_view", lambda self, aligned: None)
         assert report(None) == clean
         assert report(_sabotaged_sos(alg, interp)) == sabotaged
+
+    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
+    def test_equal_stall_memo_keys_mean_equal_subtrees(
+        self, name: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Wherever the stall memo would be consulted, an audit memo walks
+        the subtree anyway and compares it with every earlier subtree under
+        the same key, clean and sabotaged."""
+        alg, interp, predicate = builtin_algorithm(name, 3)
+        bounds = EnumerationBounds(n=3, horizon=4, max_steps=4)
+        memo_view = harness._SosWalker.memo_view
+        for derived in (None, _sabotaged_sos(alg, interp)):
+            audit = _AuditMemo()
+            monkeypatch.setattr(
+                harness._SosWalker,
+                "memo_view",
+                lambda self, aligned: None if memo_view(self, aligned) is None else audit,
+            )
+            verify_sos(alg, interp, predicate, bounds, derived_interp=derived)
+            assert audit.repeats > 0
+            assert any(tally for *_, tally in audit.values()) == (derived is not None)
+
+    @pytest.mark.parametrize(
+        "claim",
+        [pytest.param("sos", id="sabotaged-sos"), pytest.param("das", id="unshifted-das")],
+    )
+    def test_recorded_failure_cap_keeps_a_prefix(
+        self, claim: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Capped at K entries, the recorded failures are the first K of the
+        uncapped list, multiplicities and runs included.  The sabotaged stall
+        claim's walk clauses carry runs; the unshifted delay claim's
+        membership clauses carry none."""
+        alg, interp, predicate = builtin_algorithm("flood-consensus-p", 2)
+
+        def failures() -> list[dict]:
+            if claim == "sos":
+                bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=1)
+                report = verify_sos(
+                    alg, interp, predicate, bounds, derived_interp=_sabotaged_sos(alg, interp)
+                )
+            else:
+                bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=2)
+                report = verify_das(alg, interp, predicate, 0, bounds, time_shift=False)
+            return [f.to_dict() for f in report.failures]
+
+        monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 10**6)
+        uncapped = failures()
+        assert len(uncapped) > 1
+        assert all((f["run"] is not None) == (claim == "sos") for f in uncapped)
+        for k in range(1, len(uncapped) + 1):
+            monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", k)
+            assert failures() == uncapped[:k]
+
+    def test_grouped_histories_count_as_their_members(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """A history group is walked once and credited once per member:
+        walking every member on its own gives the same counts and the same
+        multiplicity for each (clause, detail) pair, on walk clauses and on
+        membership clauses alike."""
+        alg, interp, predicate = builtin_algorithm("flood-consensus-p", 2)
+        bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=1)
+        broken = _sabotaged_sos(alg, interp)
+
+        def summaries() -> list[dict]:
+            out = []
+            for report in (
+                verify_sos(alg, interp, predicate, bounds, derived_interp=broken),
+                verify_das(alg, interp, predicate, 0, bounds, time_shift=False),
+            ):
+                doc = _untimed(report)
+                doc["failures"] = {
+                    (f["clause"], f["detail"]): f["multiplicity"] for f in doc["failures"]
+                }
+                out.append(doc)
+            return out
+
+        grouped = summaries()
+        assert all(doc["failures"] for doc in grouped)
+        def singletons(spec: FDSpec, pattern, budget: int) -> list:
+            return [(h, [h]) for h in perturbed_histories(spec, pattern, budget)]
+
+        monkeypatch.setattr(harness, "history_groups", singletons)
+        assert summaries() == grouped
 
     def test_claims_refuse_fairness_bounds(self) -> None:
         """Both claims walk every prefix-consistent run, so a strict mode or a

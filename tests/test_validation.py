@@ -240,3 +240,22 @@ class TestStrictFairness:
         for window in (0, -1):
             with pytest.raises(DomainMismatch, match="fairness window"):
                 validate_run(rich_run, ALG, FD, mode, fairness_window=window)
+
+
+class TestInitialStates:
+    def test_each_non_initial_state_is_flagged_once(self, rich_run: Run) -> None:
+        """A run starts every process in one of its initial states; each
+        process that does not is one violation, tied to no step."""
+        empty = dataclasses.replace(rich_run, schedule=(), times=())
+        assert validate_run(empty, ALG, FD).valid
+        later = tuple(
+            next(q for q in ALG.reachable_states(p) if q not in ALG.initial_states(p))
+            for p in range(ALG.n)
+        )
+        for init, processes in (((later[0], empty.init[1]), [0]), (later, [0, 1])):
+            report = validate_run(dataclasses.replace(empty, init=init), ALG, FD)
+            assert [(v.condition, v.step_index) for v in report.violations] == [
+                ("non-initial-state", None)
+            ] * len(processes)
+            for p, v in zip(processes, report.violations):
+                assert v.detail.startswith(f"process {p} starts in")
