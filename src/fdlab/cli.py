@@ -50,8 +50,8 @@ def _add_bounds_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+def _add_fd_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fd", required=True, help='oracle: "P", "M", or "Pk:<k>"')
     parser.add_argument(
         "--marabout-strict-live",
         action=argparse.BooleanOptionalAction,
@@ -72,15 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--algorithm", required=True, help="builtin name or algorithm.v1 JSON path"
     )
-    p_val.add_argument("--fd", required=True, help='oracle: "P", "M", or "Pk:<k>"')
+    _add_fd_flags(p_val)
     p_val.add_argument(
         "--mode",
         choices=[m.value for m in ValidationMode],
         default=ValidationMode.PREFIX_CONSISTENT.value,
     )
-    p_val.add_argument("--fairness-window", type=int, default=None)
+    p_val.add_argument(
+        "--fairness-window",
+        type=int,
+        default=None,
+        help="longest tolerated survivor idle stretch (strict-fairness mode only)",
+    )
     p_val.add_argument("--n", type=int, default=None, help="processes (builtin algorithms)")
-    _add_common_flags(p_val)
 
     p_tr = sub.add_parser("transform", help="emit a wrapped algorithm.v1 document")
     p_tr.add_argument("which", choices=["sos", "das"])
@@ -90,23 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "(pipe --json output back in to nest wrappers)",
     )
     p_tr.add_argument("--n", type=int, default=2, help="processes (builtin algorithms)")
-    _add_common_flags(p_tr)
 
     p_ver = sub.add_parser("verify", help="exhaustively check a preservation claim")
     p_ver.add_argument("theorem", choices=["sos", "das"])
     p_ver.add_argument("algorithm", choices=list(BUILTIN_NAMES))
-    p_ver.add_argument("--k", type=int, default=0, help="oracle accuracy lag (das only)")
+    p_ver.add_argument(
+        "--k", type=int, default=None, help="oracle accuracy lag (das only, default 0)"
+    )
     p_ver.add_argument(
         "--thorough",
         action="store_true",
         help="re-derive every per-run verdict from scratch (slow)",
     )
     _add_bounds_flags(p_ver)
-    _add_common_flags(p_ver)
 
     p_pr = sub.add_parser("probe", help="hunt for one problem-violating fair run")
     p_pr.add_argument("algorithm", choices=list(BUILTIN_NAMES))
-    p_pr.add_argument("--fd", required=True, help='oracle: "P", "M", or "Pk:<k>"')
+    _add_fd_flags(p_pr)
     p_pr.add_argument("--problem", required=True, help="consensus or strong-consensus")
     p_pr.add_argument(
         "--require-quiescence",
@@ -120,8 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="longest tolerated survivor idle stretch (default: horizon + 1)",
     )
     _add_bounds_flags(p_pr)
-    _add_common_flags(p_pr)
 
+    for verb in sub.choices.values():
+        verb.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -201,9 +206,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     alg, interp, predicate = builtin_algorithm(args.algorithm, args.n)
     bounds = _bounds_from_args(args)
     if args.theorem == "sos":
+        if args.k is not None:
+            raise FdlabError("verify sos takes no --k: the stall claim has no accuracy lag")
         report = verify_sos(alg, interp, predicate, bounds, thorough=args.thorough)
     else:
-        report = verify_das(alg, interp, predicate, args.k, bounds, thorough=args.thorough)
+        k = 0 if args.k is None else args.k
+        report = verify_das(alg, interp, predicate, k, bounds, thorough=args.thorough)
     if args.json:
         sys.stdout.write(canonical_json(report.to_dict()))
     else:

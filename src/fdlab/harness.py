@@ -43,7 +43,7 @@ from .detectors import (
     shift_history,
     shift_pattern,
 )
-from .errors import BudgetExceeded, DomainMismatch, FdlabError
+from .errors import BudgetExceeded, DomainMismatch, FdlabError, KOutOfRange
 from .model import (
     Algorithm,
     FailurePattern,
@@ -362,61 +362,49 @@ class _ScheduleTree:
                     transit.insert(removed_at, received)
                 states[actor] = pre
 
-    def runs(self) -> Iterator[Run]:
-        """The empty run, then every nonempty schedule of each window offset
-        in depth-first order."""
-        yield self.run()
-        for window_start in range(self.horizon + 1):
-            yield from self._runs_below(window_start)
-
-    def _runs_below(self, t: int) -> Iterator[Run]:
-        for _ in self.children(t):
-            yield self.run()
-            yield from self._runs_below(t + 1)
-
-    def fair_runs(self, window: int | None) -> Iterator[Run]:
-        """The runs of ``runs()`` that owe no strict-fairness debt, in the
-        same order.
+    def runs(self, owed: frozenset[int], window: int | None) -> Iterator[Run]:
+        """The runs that owe the processes in ``owed`` no strict-fairness
+        debt: the empty run, then every nonempty schedule of each window
+        offset in depth-first order.
 
         The debts of ``validation._liveness_debts`` are kept in step with the
-        path: the number of messages in transit to a correct process, and
-        each correct process's last step time (-1 before its first step; a
-        faulty process, which owes nothing, is pinned to the horizon).  A run
-        is fair when nothing is owed and every correct process stepped less
-        than ``window`` points before the horizon (default window: the whole
-        run).  A path whose last step lies ``window`` or more points after
-        some correct process's last step is neither yielded nor extended:
-        that process's gap is too long whether it steps later or not.  So no
-        walked path ever closes a gap that long.
+        path: the number of messages in transit to an owed process, and each
+        owed process's last step time (-1 before its first step; a process
+        owed nothing is pinned to the horizon).  A run is yielded when
+        nothing is owed and every owed process stepped less than ``window``
+        points before the horizon (default window: the whole run).  A path
+        whose last step lies ``window`` or more points after some owed
+        process's last step is neither yielded nor extended: that process's
+        gap is too long whether it steps later or not.  So no walked path
+        ever closes a gap that long.  With nobody owed, every run is yielded.
         """
         window = self.horizon + 1 if window is None else window
-        correct = self.pattern.correct()
-        last = [-1 if p in correct else self.horizon for p in range(self.n)]
+        last = [-1 if p in owed else self.horizon for p in range(self.n)]
         if self.horizon - min(last) < window:
             yield self.run()
-        # from this offset on, a correct process has idled a whole window
+        # from this offset on, an owed process has idled a whole window
         too_late = window + min(last) + 1
         for window_start in range(min(self.horizon + 1, too_late)):
-            yield from self._fair_below(window_start, window, correct, last, 0)
+            yield from self._below(window_start, window, owed, last, 0)
 
-    def _fair_below(
-        self, t: int, window: int, correct: frozenset[int], last: list[int], owed: int
+    def _below(
+        self, t: int, window: int, owed: frozenset[int], last: list[int], debt: int
     ) -> Iterator[Run]:
         for step in self.children(t):
             actor = step.actor
-            debt = owed
-            if step.received is not None and actor in correct:
-                debt -= 1
-            if step.sent is not None and step.sent.receiver in correct:
-                debt += 1
+            child_debt = debt
+            if step.received is not None and actor in owed:
+                child_debt -= 1
+            if step.sent is not None and step.sent.receiver in owed:
+                child_debt += 1
             before = last[actor]
-            if actor in correct:
+            if actor in owed:
                 last[actor] = t
             oldest = min(last)
             if t - oldest < window:
-                if not debt and self.horizon - oldest < window:
+                if not child_debt and self.horizon - oldest < window:
                     yield self.run()
-                yield from self._fair_below(t + 1, window, correct, last, debt)
+                yield from self._below(t + 1, window, owed, last, child_debt)
             last[actor] = before
 
 
@@ -424,19 +412,24 @@ def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Ite
     """Every valid run within the bounds, in a fixed deterministic order.
 
     Order: pattern, then history, then initial states, then window offset,
-    then depth-first schedule order.  In strict-fairness mode runs carrying
-    unmet liveness debts are left out, decided in the tree as it is walked.
-    The empty run appears once per (pattern, history, initial states), at
-    window offset 0.
+    then depth-first schedule order.  In strict-fairness mode the pattern's
+    correct processes are owed fairness, and runs carrying unmet liveness
+    debts are left out, decided in the tree as it is walked; in
+    prefix-consistent mode nobody is owed anything, so a fairness window is
+    refused.  The empty run appears once per (pattern, history, initial
+    states), at window offset 0.
     """
-    patterns, inits, _ = _run_space(alg, bounds)
     strict = bounds.mode is ValidationMode.STRICT_FAIRNESS
+    if not strict and bounds.fairness_window is not None:
+        raise DomainMismatch("a fairness window applies only in strict-fairness mode")
+    patterns, inits, _ = _run_space(alg, bounds)
     tree = _ScheduleTree(alg, bounds.max_steps)
     for pattern in patterns:
+        owed = pattern.correct() if strict else frozenset()
         for history in perturbed_histories(fd, pattern, bounds.history_budget):
             for init in inits:
                 tree.start(pattern, history, init)
-                yield from tree.fair_runs(bounds.fairness_window) if strict else tree.runs()
+                yield from tree.runs(owed, bounds.fairness_window)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +499,9 @@ def _fair_verdicts(
     run is kept with a stack of the steps pushed into it: per run, only the
     steps after the longest prefix of identical ``Step`` objects are popped
     and pushed, each as its actor's new letter.  The judge starts over
-    whenever the (pattern, history, initial states) family changes.
+    whenever the (pattern, history, initial states) family changes.  A scan
+    that ends without a fair run raises ``DomainMismatch``: a check over no
+    run must not report success.
     """
     interp.check_initial_cover(alg.initial_states)
     of = interp.of
@@ -531,6 +526,8 @@ def _fair_verdicts(
             tokens.append(judge.push(step.actor, of(step.actor, step.post)))
             steps.append(step)
         yield run, judge.classify()
+    if pattern is None:
+        raise DomainMismatch("the bounds admit no fair run")
 
 
 @dataclass
@@ -684,7 +681,13 @@ def counterexample_probe(
 
 @dataclass
 class ClauseFailure:
-    """One violated clause, with a concrete run when one was materialized."""
+    """One violated clause, with a concrete run when one was materialized.
+
+    ``multiplicity`` counts the occurrences of this (clause, detail) pair
+    along run paths, so one run can add more than 1 to it: a stalled process
+    that shows the wrong letter at each of its steps repeats the pair once
+    per step.
+    """
 
     clause: str
     detail: str
@@ -704,8 +707,14 @@ class ClauseFailure:
 class TheoremReport:
     """Outcome of exhaustively checking a preservation claim.
 
-    ``failure_count`` counts (run, clause) violations; ``failures`` keeps at
-    most ``MAX_RECORDED_FAILURES`` distinct entries with multiplicities.
+    ``failure_count`` counts (run, clause) pairs: a run that violates a
+    clause in several ways counts once for it.  ``failures`` keeps at most
+    ``MAX_RECORDED_FAILURES`` distinct (clause, detail) entries, each with
+    its multiplicity (see ``ClauseFailure``), so multiplicities need not sum
+    to ``failure_count``.  ``families`` is the a-priori estimate of
+    (pattern, history, initial states) families that the run cap is checked
+    against, an upper bound on the families that exist; the in-budget
+    histories that exist are counted in ``checked_histories``.
     """
 
     theorem: str
@@ -1417,8 +1426,12 @@ def verify_das(
     ``time_shift=False`` skips the re-timing in both the mapping and the
     membership clause, demonstrating that the shift is what makes clause (h)
     hold.  ``thorough`` re-derives every node verdict from scratch.
-    Bounds in strict-fairness mode or with a fairness window are refused.
+    Bounds in strict-fairness mode or with a fairness window are refused, and
+    so is a ``k`` outside ``0..horizon-1``, for which ``k+1`` leaves the
+    horizon.
     """
+    if not 0 <= k < bounds.horizon:
+        raise KOutOfRange(f"stabilization time k={k} outside 0..{bounds.horizon - 1}")
     walker = _DasWalker(
         k, time_shift, base_alg, interp, predicate, bounds.max_steps, derived_interp, thorough
     )

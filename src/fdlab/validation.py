@@ -75,13 +75,17 @@ def validate_run(
     """Check every validity condition and report all violations found.
 
     Raises :class:`DomainMismatch` if the run and the algorithm disagree on
-    the process set, or if a given fairness window is not positive, in any
-    mode; everything else is reported, not raised.
+    the process set, or if a fairness window is given that is not positive
+    or, in prefix-consistent mode, that nothing would read; everything else
+    is reported, not raised.
     """
     if alg.n != run.n:
         raise DomainMismatch(f"algorithm is over {alg.n} processes, run over {run.n}")
-    if fairness_window is not None and fairness_window < 1:
-        raise DomainMismatch(f"fairness window must be positive, got {fairness_window}")
+    if fairness_window is not None:
+        if fairness_window < 1:
+            raise DomainMismatch(f"fairness window must be positive, got {fairness_window}")
+        if mode is not ValidationMode.STRICT_FAIRNESS:
+            raise DomainMismatch("a fairness window applies only in strict-fairness mode")
     violations = [
         RunViolation("non-initial-state", None, f"process {p} starts in {q!r}, not initial")
         for p, q in enumerate(run.init)
@@ -216,7 +220,7 @@ def _liveness_debts(
     fairness_window: int | None,
 ) -> Iterator[RunViolation]:
     """The strict-fairness debts of a whole run.  The enumerator keeps the
-    same debts step by step as it walks (``harness._ScheduleTree.fair_runs``).
+    same debts step by step as it walks (``harness._ScheduleTree.runs``).
 
     ``sent`` lists the run's sent messages in tag order, ``consumed`` holds
     the received ones.  First every message to a survivor never received,

@@ -231,7 +231,7 @@ def reference_fair_verdicts(
     run that ``validate_run`` accepts under strict fairness, interpreted from
     its initial states and judged on the whole observable sequence."""
     interp.check_initial_cover(alg.initial_states)
-    lax = replace(bounds, mode=ValidationMode.PREFIX_CONSISTENT)
+    lax = replace(bounds, mode=ValidationMode.PREFIX_CONSISTENT, fairness_window=None)
     for run in enumerate_runs(alg, fd, lax):
         report = validate_run(
             run, alg, fd, ValidationMode.STRICT_FAIRNESS, bounds.fairness_window

@@ -111,6 +111,15 @@ class TestValidate:
         assert code == 2
         assert "fairness window" in capsys.readouterr().err
 
+    def test_window_needs_strict_mode(self, run_file: Path, capsys) -> None:
+        """The window is read only where survivors are owed fairness."""
+        args = ["validate", str(run_file), "--algorithm", "flood-consensus-p", "--fd", "P",
+                "--fairness-window", "1"]
+        assert main(args) == 2
+        assert "fairness window" in capsys.readouterr().err
+        assert main([*args, "--mode", "strict-fairness"]) == 1
+        assert "fairness-gap" in capsys.readouterr().out
+
     def test_repeated_history_cell_is_a_usage_error(
         self, tmp_path: Path, run_doc: dict, capsys
     ) -> None:
@@ -207,6 +216,20 @@ class TestVerify:
              "--horizon", "2", "--max-steps", "2", "--fairness-window", "1"]
         ) == 0
 
+    @pytest.mark.parametrize("k", ["0", "7"])
+    def test_stall_claim_takes_no_lag(self, k: str, capsys) -> None:
+        code = main(
+            ["verify", "sos", "flood-consensus-p", "--horizon", "2", "--max-steps", "2", "--k", k]
+        )
+        assert code == 2
+        assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["9", "3", "-2"])
+    def test_delay_lag_past_the_horizon_names_the_given_lag(self, k: str, capsys) -> None:
+        code = main(["verify", "das", "flood-consensus-p", "--horizon", "3", "--k", k])
+        assert code == 2
+        assert f"k={k} outside 0..2" in capsys.readouterr().err
+
     def test_malformed_run_cap_is_a_usage_error(self, capsys, monkeypatch) -> None:
         monkeypatch.setenv("FDLAB_RUN_CAP", "abc")
         code = main(["verify", "sos", "flood-consensus-p", "--n", "2", "--horizon", "2"])
@@ -265,3 +288,22 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys) -> None:
         assert main(["audit"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--marabout-strict-live", "--no-marabout-strict-live"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["transform", "sos", "flood-consensus-p"], id="transform"),
+            pytest.param(
+                ["verify", "sos", "flood-consensus-p", "--horizon", "2", "--max-steps", "2"],
+                id="verify",
+            ),
+        ],
+    )
+    def test_oracle_flag_is_refused_where_no_oracle_is_read(
+        self, argv: list[str], flag: str, capsys
+    ) -> None:
+        """``transform`` takes no oracle and each claim of ``verify`` fixes
+        its own, so neither takes the foresight oracle's flag."""
+        assert main([*argv, flag]) == 2
+        assert flag in capsys.readouterr().err

@@ -26,7 +26,7 @@ from fdlab import (
 )
 from fdlab import harness
 from fdlab.detectors import perturbed_histories
-from fdlab.errors import BudgetExceeded, DomainMismatch, UncoveredState
+from fdlab.errors import BudgetExceeded, DomainMismatch, KOutOfRange, UncoveredState
 from fdlab.harness import (
     RUN_CAP_ENV_VAR,
     all_monotone_patterns,
@@ -214,6 +214,12 @@ class TestEnumerateRuns:
             default.pop("bounds")
             assert report == default
 
+    def test_fairness_window_needs_strict_mode(self) -> None:
+        """Nobody is owed fairness in prefix-consistent mode, so a window
+        there would be accepted and never read."""
+        with pytest.raises(DomainMismatch, match="fairness window"):
+            next(enumerate_runs(ALG, FD, replace(self.BOUNDS, fairness_window=1)))
+
     def test_cap_refuses_before_any_work(self) -> None:
         bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, run_cap=10)
         with pytest.raises(BudgetExceeded, match="exceed the cap of 10"):
@@ -275,6 +281,21 @@ class TestCheckSolves:
         assert strict.counterexample is not None
         reparsed = run_from_doc(strict.counterexample, ALG)
         assert validate_run(reparsed, ALG, FD).valid
+
+    def test_no_fair_run_is_refused(self) -> None:
+        """A fairness filter that leaves no run would report success over
+        nothing.  Under the crash-free pattern alone, both survivors cannot
+        step at every point within 4 steps, nor both step at all within 1."""
+        crash_free = all_monotone_patterns(2, 3)[:1]
+        for bounds in (
+            EnumerationBounds(n=2, horizon=3, max_steps=4, patterns=crash_free, fairness_window=1),
+            EnumerationBounds(n=2, horizon=3, max_steps=1, patterns=crash_free),
+        ):
+            for quiescence in (False, True):
+                with pytest.raises(DomainMismatch, match="admit no fair run"):
+                    check_solves(ALG, FD, INTERP, PREDICATE, bounds, quiescence)
+            with pytest.raises(DomainMismatch, match="admit no fair run"):
+                counterexample_probe(ALG, FD, INTERP, PREDICATE, bounds)
 
     def test_report_dict_shape(self) -> None:
         d = check_solves(ALG, FD, INTERP, PREDICATE, self.BOUNDS).to_dict()
@@ -394,24 +415,33 @@ class TestTheoremChecks:
     BOUNDS = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=1)
 
     @pytest.mark.parametrize(
-        "name, sabotaged",
+        "name, sabotaged, planted",
         [
-            pytest.param("flood-consensus-p", False, id="flood-consensus-p"),
-            pytest.param("strong-consensus-m", False, id="strong-consensus-m"),
-            pytest.param("flood-consensus-p", True, id="flood-consensus-p-sabotaged"),
+            pytest.param("flood-consensus-p", False, False, id="flood-consensus-p"),
+            pytest.param("strong-consensus-m", False, False, id="strong-consensus-m"),
+            pytest.param("flood-consensus-p", True, False, id="flood-consensus-p-sabotaged"),
+            pytest.param(
+                "flood-consensus-p", False, True, id="flood-consensus-p-length-sensitive"
+            ),
         ],
     )
-    def test_stall_preservation_fast_equals_thorough(self, name: str, sabotaged: bool) -> None:
+    def test_stall_preservation_fast_equals_thorough(
+        self, name: str, sabotaged: bool, planted: bool
+    ) -> None:
         """The memoized pass and the from-scratch pass agree exactly, down to
         every recorded failure's clause, detail, multiplicity and run.  The
-        sabotaged derivation (criterion 3's) makes memo hits carry failures."""
+        sabotaged derivation (criterion 3's) makes memo hits carry failures.
+        The length-sensitive predicate is judged on the whole sequence, which
+        the memo does not serve, and fails clause (d)."""
         alg, interp, predicate = builtin_algorithm(name, 2)
+        if planted:
+            predicate = PlantedLengthSensitive()
         derived = _sabotaged_sos(alg, interp) if sabotaged else None
         fast = verify_sos(alg, interp, predicate, self.BOUNDS, derived_interp=derived)
         slow = verify_sos(
             alg, interp, predicate, self.BOUNDS, derived_interp=derived, thorough=True
         )
-        assert fast.ok == slow.ok == (not sabotaged)
+        assert fast.ok == slow.ok == (not sabotaged and not planted)
         for field in ("checked_runs", "checked_histories", "failure_count",
                       "decided_runs", "undecided_runs", "families"):
             assert getattr(fast, field) == getattr(slow, field), field
@@ -537,15 +567,36 @@ class TestTheoremChecks:
             with pytest.raises(DomainMismatch, match="fairness"):
                 verify_das(ALG, INTERP, PREDICATE, 0, bounds)
 
-    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
-    def test_delay_preservation_fast_equals_thorough(self, name: str) -> None:
+    @pytest.mark.parametrize(
+        "name, planted",
+        [
+            pytest.param("flood-consensus-p", False, id="flood-consensus-p"),
+            pytest.param("strong-consensus-m", False, id="strong-consensus-m"),
+            pytest.param("flood-consensus-p", True, id="flood-consensus-p-length-sensitive"),
+        ],
+    )
+    def test_delay_preservation_fast_equals_thorough(self, name: str, planted: bool) -> None:
+        """The length-sensitive predicate is judged on the whole sequence and
+        fails clause (d); its failures must agree too."""
         alg, interp, predicate = builtin_algorithm(name, 2)
+        if planted:
+            predicate = PlantedLengthSensitive()
         fast = verify_das(alg, interp, predicate, 0, self.BOUNDS)
         slow = verify_das(alg, interp, predicate, 0, self.BOUNDS, thorough=True)
-        assert fast.ok and slow.ok
+        assert fast.ok == slow.ok == (not planted)
         for field in ("checked_runs", "checked_histories", "failure_count",
                       "decided_runs", "undecided_runs", "families"):
             assert getattr(fast, field) == getattr(slow, field), field
+        assert [f.to_dict() for f in fast.failures] == [f.to_dict() for f in slow.failures]
+
+    def test_delay_claim_refuses_a_lag_past_the_horizon(self) -> None:
+        """The wrapper's oracle is accurate after ``k+1``, which must stay
+        within the horizon; the refusal names the ``k`` given."""
+        bounds = EnumerationBounds(n=2, horizon=3, max_steps=2)
+        for k in (-2, -1, 3, 9):
+            with pytest.raises(KOutOfRange, match=rf"^stabilization time k={k} outside 0\.\.2$"):
+                verify_das(ALG, INTERP, PREDICATE, k, bounds)
+        assert verify_das(ALG, INTERP, PREDICATE, 2, bounds).ok
 
     def test_theorem_report_dict_shape(self) -> None:
         report = verify_sos(ALG, INTERP, PREDICATE, self.BOUNDS)

@@ -235,6 +235,12 @@ class TestStrictFairness:
                 rich_run, ALG, FD, ValidationMode.STRICT_FAIRNESS, fairness_window=0
             )
 
+    def test_window_needs_strict_mode(self, rich_run: Run) -> None:
+        """Prefix-consistent mode reads no fairness window, so one is refused
+        rather than ignored."""
+        with pytest.raises(DomainMismatch, match="fairness window"):
+            validate_run(rich_run, ALG, FD, ValidationMode.PREFIX_CONSISTENT, fairness_window=1)
+
     @pytest.mark.parametrize("mode", list(ValidationMode), ids=lambda mode: mode.value)
     def test_window_is_refused_in_every_mode(self, rich_run: Run, mode) -> None:
         for window in (0, -1):
