@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="builtin name, algorithm.v1 JSON path, or - for stdin "
         "(pipe --json output back in to nest wrappers)",
     )
-    p_tr.add_argument("--n", type=int, default=2, help="processes (builtin algorithms)")
+    p_tr.add_argument("--n", type=int, default=None, help="processes (builtin algorithms)")
 
     p_ver = sub.add_parser("verify", help="exhaustively check a preservation claim")
     p_ver.add_argument("theorem", choices=["sos", "das"])
@@ -138,9 +138,16 @@ def _parse_fd(text: str, marabout_strict_live: bool) -> FDSpec:
 
 
 def _load_algorithm(name_or_path: str, n: int | None) -> Algorithm:
+    """A builtin by name (``n`` processes, default 2), or an algorithm.v1
+    document from a file or ``-``, which fixes its own process count."""
     if name_or_path in BUILTIN_NAMES:
         alg, _, _ = builtin_algorithm(name_or_path, n if n is not None else 2)
         return alg
+    if n is not None:
+        raise FdlabError(
+            f"--n applies only to builtin algorithms; {name_or_path!r} is an "
+            "algorithm document and fixes its own process count"
+        )
     if name_or_path == "-":
         return algorithm_from_doc(json.loads(sys.stdin.read()))
     path = Path(name_or_path)

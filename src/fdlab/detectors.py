@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import Iterator
 
 from .errors import DomainMismatch, KOutOfRange
 from .model import FailurePattern, History, _sorted_subsets
@@ -152,6 +153,83 @@ def _check_shapes(h: History, f: FailurePattern) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _CellRule:
+    """The safety part of one oracle class on one pattern, one cell at a time:
+    may observer ``p`` be told ``v`` at time ``t``?
+
+    Only the observers in ``observers[t]`` are constrained at ``t``.  Telling
+    one of them a subject in ``forbidden[t]`` breaks ``forbidden_name``, and
+    leaving out a subject of ``required[t]`` breaks ``foresight-missing``.  A
+    history is a safe member exactly when every cell passes.
+    """
+
+    observers: tuple[frozenset[int], ...]
+    forbidden: tuple[frozenset[int], ...]
+    required: tuple[frozenset[int], ...]
+    forbidden_name: str
+
+    def cell_violations(self, p: int, t: int, value: frozenset[int]) -> list[MembershipViolation]:
+        """What telling observer ``p`` the suspect set ``value`` at time ``t``
+        breaks: forbidden subjects, then missing ones; empty when the cell is
+        admissible."""
+        if p not in self.observers[t]:
+            return []
+        out = [
+            MembershipViolation(self.forbidden_name, p, subject, t)
+            for subject in sorted(value & self.forbidden[t])
+        ]
+        out.extend(
+            MembershipViolation("foresight-missing", p, subject, t)
+            for subject in sorted(self.required[t] - value)
+        )
+        return out
+
+    def violations(self, h: History) -> list[MembershipViolation]:
+        """Every broken cell condition of ``h``, by time, observer, then subject."""
+        return [
+            v
+            for t, observers in enumerate(self.observers)
+            for p in sorted(observers)
+            for v in self.cell_violations(p, t, h.at(p, t))
+        ]
+
+
+def _foresight_rule(f: FailurePattern, strict_live: bool) -> _CellRule:
+    """Constrained observers see exactly the horizon-faulty set."""
+    faulty = f.faulty()
+    times = range(f.horizon + 1)
+    return _CellRule(
+        observers=tuple(f.live_at(t) if strict_live else f.correct() for t in times),
+        forbidden=tuple(f.correct() for _ in times),
+        required=tuple(faulty for _ in times),
+        forbidden_name="foresight-spurious",
+    )
+
+
+def _accuracy_rule(f: FailurePattern, k: int, accuracy: str) -> _CellRule:
+    """A live observer never suspects a process live at time ``k`` and still
+    live now; such suspicions are named ``accuracy``."""
+    _check_k(k, f)
+    protected_base = f.live_at(k)
+    times = range(f.horizon + 1)
+    return _CellRule(
+        observers=tuple(f.live_at(t) for t in times),
+        forbidden=tuple(protected_base & f.live_at(t) for t in times),
+        required=tuple(frozenset() for _ in times),
+        forbidden_name=accuracy,
+    )
+
+
+def _cell_rule(spec: FDSpec, f: FailurePattern) -> _CellRule:
+    if spec.kind == KIND_FORESIGHT:
+        return _foresight_rule(f, spec.marabout_strict_live)
+    if spec.kind == KIND_ALWAYS_ACCURATE:
+        return _accuracy_rule(f, 0, "accuracy")
+    assert spec.k is not None
+    return _accuracy_rule(f, spec.k, "late-accuracy")
+
+
 def history_in_p(h: History, f: FailurePattern) -> MembershipVerdict:
     """Judge ``h`` against the always-accurate, eventually-complete class:
     the lag-0 member of the accurate-after chain."""
@@ -162,16 +240,7 @@ def history_in_m(h: History, f: FailurePattern, strict_live: bool = True) -> Mem
     """Judge ``h`` against the full-foresight class: constrained observers see
     exactly the horizon-faulty set at every time point."""
     _check_shapes(h, f)
-    faulty = f.faulty()
-    violations: list[MembershipViolation] = []
-    for t in range(f.horizon + 1):
-        observers = f.live_at(t) if strict_live else f.correct()
-        for observer in sorted(observers):
-            cell = h.at(observer, t)
-            for subject in sorted(cell - faulty):
-                violations.append(MembershipViolation("foresight-spurious", observer, subject, t))
-            for subject in sorted(faulty - cell):
-                violations.append(MembershipViolation("foresight-missing", observer, subject, t))
+    violations = _foresight_rule(f, strict_live).violations(h)
     ok = not violations
     return MembershipVerdict(ok, ok, tuple(violations))
 
@@ -197,15 +266,7 @@ def _accurate_after(h: History, f: FailurePattern, k: int, accuracy: str) -> Mem
     suspected by every correct observer over a nonempty suffix ending at the
     horizon (equivalently, at the horizon)."""
     _check_shapes(h, f)
-    _check_k(k, f)
-    protected_base = f.live_at(k)
-    prefix: list[MembershipViolation] = []
-    for t in range(f.horizon + 1):
-        live = f.live_at(t)
-        protected = protected_base & live
-        for observer in sorted(live):
-            for subject in sorted(h.at(observer, t) & protected):
-                prefix.append(MembershipViolation(accuracy, observer, subject, t))
+    prefix = _accuracy_rule(f, k, accuracy).violations(h)
     suffix = [
         MembershipViolation("completeness", observer, subject, f.horizon)
         for observer in sorted(f.correct())
@@ -248,6 +309,10 @@ def canonical_history(spec: FDSpec, f: FailurePattern) -> History:
     return History.from_function(f.n, f.horizon, lambda p, t: f.crashed_at(t) | early)
 
 
+#: One cell rewrite of a canonical history: ``((observer, time), value)``.
+_Rewrite = tuple[tuple[int, int], frozenset[int]]
+
+
 def perturbed_histories(spec: FDSpec, f: FailurePattern, budget: int) -> list[History]:
     """The canonical history plus every variant within the deviation budget.
 
@@ -256,24 +321,39 @@ def perturbed_histories(spec: FDSpec, f: FailurePattern, budget: int) -> list[Hi
     the class (``prefix_consistent``).  The order is deterministic: by number
     of rewritten cells, then by cell position, then by rewritten value.
     """
+    return [h for _, h in _perturbations(spec, f, budget)]
+
+
+def _perturbations(
+    spec: FDSpec, f: FailurePattern, budget: int
+) -> Iterator[tuple[tuple[_Rewrite, ...], History]]:
+    """``perturbed_histories``, each history with the rewrites that build it
+    from the canonical one, in cell order.
+
+    Safety is a conjunction of per-cell conditions and the canonical history
+    passes every one, so a variant is safe exactly when each rewritten cell
+    is: only admissible values are ever built.
+    """
     if budget < 0:
         raise DomainMismatch(f"negative deviation budget {budget}")
     base = canonical_history(spec, f)
+    yield (), base
+    if budget == 0:
+        return
+    rule = _cell_rule(spec, f)
     cells = [(p, t) for p in range(f.n) for t in range(f.horizon + 1)]
     value_pool = _sorted_subsets(f.n)
-    out = [base]
+    admissible = {
+        (p, t): [
+            v for v in value_pool if v != base.at(p, t) and not rule.cell_violations(p, t, v)
+        ]
+        for (p, t) in cells
+    }
     for count in range(1, budget + 1):
         for chosen in combinations(cells, count):
-            alternative_sets = [
-                [v for v in value_pool if v != base.at(p, t)] for (p, t) in chosen
-            ]
-            for values in product(*alternative_sets):
-                variant = base
-                for (p, t), value in zip(chosen, values):
-                    variant = variant.with_cell(p, t, value)
-                if history_matches(spec, variant, f).prefix_consistent:
-                    out.append(variant)
-    return out
+            for values in product(*(admissible[c] for c in chosen)):
+                rewrites = tuple(zip(chosen, values))
+                yield rewrites, base.with_cells(rewrites)
 
 
 def initial_crash_scenario(f: FailurePattern) -> FailurePattern:

@@ -36,6 +36,7 @@ from typing import Iterator
 from .detectors import (
     FDSpec,
     MembershipVerdict,
+    _perturbations,
     history_in_p,
     history_in_pk,
     initial_crash_scenario,
@@ -256,20 +257,15 @@ def history_groups(
 
     Each group is (representative, members); all members agree on every cell
     ``(p, t)`` with ``p`` live at ``t``, so one schedule tree covers them all.
+    Two variants of the canonical history agree there exactly when their
+    rewrites of live cells are equal, so those rewrites are the group key.
     """
+    live = [pattern.live_at(t) for t in range(pattern.horizon + 1)]
     groups: dict[tuple, list[History]] = {}
-    order: list[tuple] = []
-    for h in perturbed_histories(spec, pattern, budget):
-        key = tuple(
-            h.at(p, t)
-            for t in range(pattern.horizon + 1)
-            for p in sorted(pattern.live_at(t))
-        )
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(h)
-    return [(groups[key][0], groups[key]) for key in order]
+    for rewrites, h in _perturbations(spec, pattern, budget):
+        key = tuple(((p, t), v) for (p, t), v in rewrites if p in live[t])
+        groups.setdefault(key, []).append(h)
+    return [(members[0], members) for members in groups.values()]
 
 
 class _ScheduleTree:
@@ -1298,10 +1294,22 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
     algorithm under its oracle.
 
     Each claim is one walker class, and one walker serves the whole call.
-    Per history group, every member is judged by ``membership`` against the
-    mapped pattern, and the walker walks the group's representative once per
+    Per history group, the walker walks the group's representative once per
     initial-state choice into one ``_WalkTotals``, which the call total adds
-    once per member.  The report's failures are the call total's first
+    once per member.
+
+    ``membership`` judges only the representative against the mapped
+    pattern, and its verdict is exactly every member's, because both claims'
+    mapped memberships read only cells whose observer is live in the
+    original pattern, where the members agree.  The stall claim's
+    initial-crash pattern constrains only the correct processes.  The delay
+    claim's cell ``(p, t)`` of the shifted history is the original cell
+    ``(p, min(t+1, horizon))``, and ``p`` is live there exactly when it is
+    live at ``t`` in the shifted pattern; unshifted, the pattern is the
+    original one.  ``thorough`` judges every member and asserts that each
+    verdict is the representative's.
+
+    The report's failures are the call total's first
     ``MAX_RECORDED_FAILURES`` (clause, detail) pairs with their example runs.
     The claims cover every prefix-consistent run, so strict fairness and
     fairness windows are refused.
@@ -1320,24 +1328,24 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
         mapped_pattern = walker.map_pattern(pattern)
         for rep, members in history_groups(walker.fd, pattern, bounds.history_budget):
             checked_histories += len(members)
-            bad_memberships = []
-            for h in members:
-                verdict = walker.membership(h, mapped_pattern)
-                if not verdict.prefix_consistent:
-                    v = verdict.violations[0]
-                    bad_memberships.append(
-                        f"{walker.membership_subject} breaks {v.condition} "
-                        f"(observer {v.observer}, subject {v.subject}, t={v.time})"
-                    )
+            verdict = walker.membership(rep, mapped_pattern)
+            if walker.thorough:
+                for h in members:
+                    assert walker.membership(h, mapped_pattern) == verdict
             group = _WalkTotals()
             for init in inits:
                 walker.start(pattern, rep, init, mapped_pattern)
                 walker.walk(group)
             totals.add(group, len(members))
-            for detail in bad_memberships:
-                pair = (walker.membership_clause, detail)
-                totals.violations += group.nodes
-                totals.count(pair, group.nodes)
+            if not verdict.prefix_consistent:
+                v = verdict.violations[0]
+                pair = (
+                    walker.membership_clause,
+                    f"{walker.membership_subject} breaks {v.condition} "
+                    f"(observer {v.observer}, subject {v.subject}, t={v.time})",
+                )
+                totals.violations += group.nodes * len(members)
+                totals.count(pair, group.nodes * len(members))
                 if len(walker.examples) < MAX_RECORDED_FAILURES:
                     walker.examples.setdefault(pair, None)
 

@@ -193,11 +193,29 @@ class History:
 
     def with_cell(self, p: int, t: int, value: Iterable[int]) -> "History":
         """A copy with one cell replaced."""
-        new_row = tuple(
-            frozenset(value) if u == t else cell for u, cell in enumerate(self.cells[p])
-        )
-        rows = tuple(new_row if q == p else row for q, row in enumerate(self.cells))
-        return History(self.n, self.horizon, rows)
+        return self.with_cells((((p, t), value),))
+
+    def with_cells(self, rewrites: Iterable[tuple[tuple[int, int], Iterable[int]]]) -> "History":
+        """A copy with each ``((p, t), value)`` rewrite applied.
+
+        Only the rewritten cells are checked: every other cell was checked
+        when this history was built.
+        """
+        rows = list(self.cells)
+        for (p, t), value in rewrites:
+            if not (0 <= p < self.n and 0 <= t <= self.horizon):
+                raise DomainMismatch(f"history has no cell ({p}, {t})")
+            value = frozenset(value)
+            if not all(0 <= q < self.n for q in value):
+                raise DomainMismatch(f"history cell ({p}, {t}) names unknown processes")
+            row = list(rows[p])
+            row[t] = value
+            rows[p] = tuple(row)
+        out = object.__new__(History)
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "horizon", self.horizon)
+        object.__setattr__(out, "cells", tuple(rows))
+        return out
 
 
 @dataclass(frozen=True)

@@ -6,32 +6,40 @@ breadth-first instead of using the dynamic program, and the run oracle builds
 schedules by unguided syntactic search and keeps whatever ``validate_run``
 accepts instead of generating only legal steps, and the solvability scan
 re-validates and re-interprets every run from scratch instead of following
-the schedule tree.
+the schedule tree.  The history references build every candidate variant
+and re-judge it whole, and group histories by their values on every live
+cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 from fdlab import (
     Algorithm,
+    DomainMismatch,
     EnumerationBounds,
+    FailurePattern,
     FDSpec,
+    History,
     Interpretation,
     Message,
     Run,
     Step,
     ValidationMode,
     all_monotone_patterns,
+    canonical_history,
     enumerate_runs,
+    history_matches,
     init_combinations,
     interpret_run,
     perturbed_histories,
     validate_run,
 )
 from fdlab.harness import ProbeReport, SolvesReport
+from fdlab.model import _sorted_subsets
 from fdlab.problems import ProblemPredicate
 from fdlab.traces import run_to_doc
 
@@ -138,6 +146,50 @@ def canonical_sequence_pairs(
             for r in range(len_w_prime)
         )
         yield w, w_prime
+
+
+def reference_perturbed_histories(spec: FDSpec, f: FailurePattern, budget: int) -> list[History]:
+    """``perturbed_histories`` by candidate and test: every rewrite of at most
+    ``budget`` cells is built, and kept if the whole history is still a safe
+    member of the class."""
+    if budget < 0:
+        raise DomainMismatch(f"negative deviation budget {budget}")
+    base = canonical_history(spec, f)
+    cells = [(p, t) for p in range(f.n) for t in range(f.horizon + 1)]
+    value_pool = _sorted_subsets(f.n)
+    out = [base]
+    for count in range(1, budget + 1):
+        for chosen in combinations(cells, count):
+            alternative_sets = [
+                [v for v in value_pool if v != base.at(p, t)] for (p, t) in chosen
+            ]
+            for values in product(*alternative_sets):
+                variant = base
+                for (p, t), value in zip(chosen, values):
+                    variant = variant.with_cell(p, t, value)
+                if history_matches(spec, variant, f).prefix_consistent:
+                    out.append(variant)
+    return out
+
+
+def reference_history_groups(
+    pattern: FailurePattern, histories: list[History]
+) -> list[tuple[History, list[History]]]:
+    """``history_groups`` of the given histories, keyed by each history's
+    values on every live cell."""
+    groups: dict[tuple, list[History]] = {}
+    order: list[tuple] = []
+    for h in histories:
+        key = tuple(
+            h.at(p, t)
+            for t in range(pattern.horizon + 1)
+            for p in sorted(pattern.live_at(t))
+        )
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(h)
+    return [(groups[key][0], groups[key]) for key in order]
 
 
 def brute_force_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> set[Run]:

@@ -139,6 +139,18 @@ class TestValidate:
         assert code == 2
         assert "not a builtin" in capsys.readouterr().err
 
+    def test_process_count_is_refused_for_an_algorithm_document(
+        self, run_file: Path, tmp_path: Path, capsys
+    ) -> None:
+        assert main(["transform", "sos", "flood-consensus-p", "--json"]) == 0
+        path = tmp_path / "a.json"
+        path.write_text(capsys.readouterr().out)
+        code = main(
+            ["validate", str(run_file), "--algorithm", str(path), "--fd", "M", "--n", "2"]
+        )
+        assert code == 2
+        assert "--n applies only to builtin algorithms" in capsys.readouterr().err
+
 
 class TestTransform:
     def test_text_summary_lists_states(self, capsys) -> None:
@@ -174,6 +186,29 @@ class TestTransform:
         assert main(["transform", "das", str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["name"] == "strong-consensus-m+sos+das"
+
+    def test_process_count_applies_to_builtins(self, capsys) -> None:
+        assert main(["transform", "sos", "flood-consensus-p", "--n", "3"]) == 0
+        assert "algorithm: flood-consensus-p+sos (n=3)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_process_count_is_refused_for_a_document(
+        self, source: str, tmp_path: Path, capsys, monkeypatch
+    ) -> None:
+        """A document fixes its own process count, so ``--n`` would be ignored."""
+        assert main(["transform", "sos", "flood-consensus-p", "--json"]) == 0
+        doc = capsys.readouterr().out
+        if source == "file":
+            path = tmp_path / "a.json"
+            path.write_text(doc)
+            algorithm = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            algorithm = "-"
+        assert main(["transform", "das", algorithm, "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n applies only to builtin algorithms" in captured.err
 
 
 class TestVerify:

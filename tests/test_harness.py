@@ -37,7 +37,12 @@ from fdlab.harness import (
 from fdlab.traces import canonical_json, run_from_doc
 from fdlab.transforms import DelayState, StallState, derive_interpretation_sos
 
-from .oracles import PlantedLengthSensitive, reference_report_docs
+from .oracles import (
+    PlantedLengthSensitive,
+    reference_history_groups,
+    reference_perturbed_histories,
+    reference_report_docs,
+)
 
 ALG, INTERP, PREDICATE = builtin_algorithm("flood-consensus-p", 2)
 FD = FDSpec.always_accurate()
@@ -133,6 +138,63 @@ class TestHistoryGroups:
                     for t in range(pattern.horizon + 1):
                         for p in pattern.live_at(t):
                             assert h.at(p, t) == rep.at(p, t)
+
+
+#: (n, horizon, largest budget) of the history-layer grids
+HISTORY_GRID = [
+    pytest.param(n, h, budget, id=f"n{n}-h{h}")
+    for n, horizons, budget in ((1, 5, 2), (2, 5, 2), (3, 4, 1))
+    for h in range(horizons)
+]
+
+
+def _oracle_specs(horizon: int) -> list[FDSpec]:
+    return [FDSpec.always_accurate(), FDSpec.foresight(), FDSpec.foresight(strict_live=False)] + [
+        FDSpec.accurate_after(k) for k in range(horizon + 1)
+    ]
+
+
+class TestHistoryReferences:
+    @pytest.mark.parametrize("n, horizon, budget", HISTORY_GRID)
+    def test_generator_and_groups_equal_the_references(
+        self, n: int, horizon: int, budget: int
+    ) -> None:
+        """The constructive generator lists what candidate-and-test kept, in
+        the same order, and grouping by live rewrites gives the groups that
+        keying on every live cell gave, representatives included."""
+        for pattern in all_monotone_patterns(n, horizon):
+            for spec in _oracle_specs(horizon):
+                for b in range(budget + 1):
+                    expected = reference_perturbed_histories(spec, pattern, b)
+                    assert perturbed_histories(spec, pattern, b) == expected
+                    groups = history_groups(spec, pattern, b)
+                    assert groups == reference_history_groups(pattern, expected)
+                    assert all(rep is members[0] for rep, members in groups)
+
+    @pytest.mark.parametrize("n, horizon, budget", HISTORY_GRID)
+    def test_one_membership_verdict_serves_a_group(
+        self, n: int, horizon: int, budget: int
+    ) -> None:
+        """Each claim's mapped membership verdict, violations included, is the
+        same for every member of a history group as for its representative:
+        the stall claim under ``M``, and the delay claim under ``Pk:k+1`` for
+        every ``k``, shifted and unshifted."""
+        alg, interp, predicate = builtin_algorithm("flood-consensus-p", n)
+        walkers = [harness._SosWalker(alg, interp, predicate, 1, None, False)] + [
+            harness._DasWalker(k, shift, alg, interp, predicate, 1, None, False)
+            for k in range(horizon)
+            for shift in (True, False)
+        ]
+        members_seen = 0
+        for pattern in all_monotone_patterns(n, horizon):
+            for walker in walkers:
+                mapped = walker.map_pattern(pattern)
+                for rep, members in history_groups(walker.fd, pattern, budget):
+                    verdict = walker.membership(rep, mapped)
+                    for h in members:
+                        assert walker.membership(h, mapped) == verdict
+                    members_seen += len(members)
+        assert members_seen > 0
 
 
 class TestEnumerateRuns:

@@ -72,6 +72,18 @@ class TestHistory:
         assert h2.at(1, 0) == frozenset({0})
         assert h2.at(0, 0) == frozenset()
 
+    def test_with_cells_rewrites_at_once_and_checks_what_it_rewrites(self) -> None:
+        h = History.from_function(2, 1, lambda p, t: frozenset())
+        h2 = h.with_cells((((0, 1), {1}), ((1, 0), {0, 1})))
+        rows = ((frozenset(), frozenset({1})), (frozenset({0, 1}), frozenset()))
+        assert h2 == History(2, 1, rows)
+        assert h.with_cells(()) == h
+        for cell in ((2, 0), (0, 2), (-1, 0)):
+            with pytest.raises(DomainMismatch, match="no cell"):
+                h.with_cells(((cell, {0}),))
+        with pytest.raises(DomainMismatch, match="unknown processes"):
+            h.with_cell(0, 0, {2})
+
 
 class TestStepApplication:
     def setup_method(self) -> None:
