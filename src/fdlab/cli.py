@@ -19,14 +19,20 @@ from .detectors import FDSpec
 from .errors import BudgetExceeded, FdlabError
 from .harness import (
     EnumerationBounds,
+    _run_space,
     check_solves,
     counterexample_probe,
     verify_das,
     verify_sos,
 )
-from .machines import BUILTIN_NAMES, builtin_algorithm
+from .machines import BUILTIN_NAMES, _builtin_machine, collect_interpretation
 from .model import Algorithm
-from .problems import ConsensusPredicate, StrongConsensusPredicate
+from .problems import (
+    ConsensusPredicate,
+    Interpretation,
+    ProblemPredicate,
+    StrongConsensusPredicate,
+)
 from .traces import (
     algorithm_from_doc,
     algorithm_to_doc,
@@ -141,7 +147,7 @@ def _load_algorithm(name_or_path: str, n: int | None) -> Algorithm:
     """A builtin by name (``n`` processes, default 2), or an algorithm.v1
     document from a file or ``-``, which fixes its own process count."""
     if name_or_path in BUILTIN_NAMES:
-        alg, _, _ = builtin_algorithm(name_or_path, n if n is not None else 2)
+        alg, _ = _builtin_machine(name_or_path, n if n is not None else 2)
         return alg
     if n is not None:
         raise FdlabError(
@@ -157,6 +163,20 @@ def _load_algorithm(name_or_path: str, n: int | None) -> Algorithm:
             f"({', '.join(BUILTIN_NAMES)}) and no such file"
         )
     return algorithm_from_doc(json.loads(path.read_text()))
+
+
+def _builtin_for(
+    name: str, bounds: EnumerationBounds
+) -> tuple[Algorithm, Interpretation, ProblemPredicate]:
+    """A built-in's (algorithm, interpretation, problem) for a check within
+    ``bounds``, refused over the run cap first: the interpretation explores
+    every reachable state under all 2^n suspect sets, a cost that grows too
+    fast to pay for a request the cap refuses anyway.  Both wrappers start
+    in as many initial states as the algorithm, so the estimate is the one
+    the check applies."""
+    alg, predicate = _builtin_machine(name, bounds.n)
+    _run_space(alg, bounds)
+    return alg, collect_interpretation(alg), predicate
 
 
 def _read_doc(path_or_dash: str) -> dict:
@@ -210,11 +230,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    alg, interp, predicate = builtin_algorithm(args.algorithm, args.n)
+    if args.theorem == "sos" and args.k is not None:
+        raise FdlabError("verify sos takes no --k: the stall claim has no accuracy lag")
     bounds = _bounds_from_args(args)
+    alg, interp, predicate = _builtin_for(args.algorithm, bounds)
     if args.theorem == "sos":
-        if args.k is not None:
-            raise FdlabError("verify sos takes no --k: the stall claim has no accuracy lag")
         report = verify_sos(alg, interp, predicate, bounds, thorough=args.thorough)
     else:
         k = 0 if args.k is None else args.k
@@ -246,12 +266,12 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         raise FdlabError(
             f"unknown problem {args.problem!r} (choose from {', '.join(PROBLEM_NAMES)})"
         )
-    alg, interp, _ = builtin_algorithm(args.algorithm, args.n)
+    fd = _parse_fd(args.fd, args.marabout_strict_live)
+    bounds = dataclasses.replace(_bounds_from_args(args), fairness_window=args.fairness_window)
+    alg, interp, _ = _builtin_for(args.algorithm, bounds)
     predicate = (
         ConsensusPredicate() if args.problem == "consensus" else StrongConsensusPredicate()
     )
-    fd = _parse_fd(args.fd, args.marabout_strict_live)
-    bounds = dataclasses.replace(_bounds_from_args(args), fairness_window=args.fairness_window)
     if args.require_quiescence:
         report = check_solves(
             alg, fd, interp, predicate, bounds, require_quiescence=True

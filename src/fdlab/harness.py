@@ -13,8 +13,8 @@ does an algorithm solve a problem over all fair bounded runs?  Both read one
 scan that yields each strict-fairness run with its verdict (decided,
 undecided or fail); the first tallies the verdicts, the second stops at the
 first failure.  Fairness is decided in the schedule tree as it is walked,
-and each run's verdict comes from the observable rows and agreement-monitor
-state it shares with the previous run, so no run is re-interpreted from its
+and each run's verdict comes from the judge it shares with the previous run,
+which holds the run's observable rows, so no run is re-interpreted from its
 initial states.  ``verify_sos`` / ``verify_das`` check that the stall and
 delay wrappers preserve solvability, clause by clause on every run.  All of
 them expand the same schedule trees, one tree per call re-rooted at each
@@ -31,6 +31,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from .detectors import (
@@ -209,24 +210,22 @@ def _run_space(
 ) -> tuple[tuple[FailurePattern, ...], tuple[tuple[State, ...], ...], int]:
     """The patterns and initial-state choices to sweep, and the family estimate.
 
-    Refuses a space that holds no run, because a check over it would report
-    success without having looked at anything, explicit patterns or initial
-    states of another shape than the bounds, initial-state choices holding a
-    state that is not initial for ``alg``, and a space whose estimate exceeds
-    the run cap.
+    Refuses explicit patterns or initial states of another shape than the
+    bounds, initial-state choices holding a state that is not initial for
+    ``alg``, a space that holds no run, because a check over it would report
+    success without having looked at anything, and a space whose estimate
+    exceeds the run cap.  The estimate counts initial-state choices as a
+    product, so a hopeless space is refused before anything is listed.
     """
     if alg.n != bounds.n:
         raise DomainMismatch(f"algorithm is over {alg.n} processes, bounds over {bounds.n}")
-    inits = bounds.inits if bounds.inits is not None else init_combinations(alg)
-    if bounds.patterns == () or not inits:
-        raise DomainMismatch("the bounds admit no crash pattern or no initial states")
     for f in bounds.patterns or ():
         if (f.n, f.horizon) != (bounds.n, bounds.horizon):
             raise DomainMismatch(
                 f"a pattern over {f.n} processes and horizon {f.horizon} does not fit "
                 f"bounds over {bounds.n} processes and horizon {bounds.horizon}"
             )
-    for init in inits:
+    for init in bounds.inits or ():
         if len(init) != bounds.n:
             raise DomainMismatch(
                 f"a choice of {len(init)} initial states does not fit bounds "
@@ -235,7 +234,15 @@ def _run_space(
         for p, q in enumerate(init):
             if q not in alg.initial_states(p):
                 raise DomainMismatch(f"process {p} cannot start in {q!r}: not an initial state")
-    estimate = estimate_run_families(bounds, len(inits))
+    inits_count = (
+        len(bounds.inits)
+        if bounds.inits is not None
+        else prod(len(alg.initial_states(p)) for p in range(alg.n))
+    )
+    estimate = estimate_run_families(bounds, inits_count)
+    # a product of counts, zero exactly when there is no pattern or no init
+    if not estimate:
+        raise DomainMismatch("the bounds admit no crash pattern or no initial states")
     cap = bounds.resolved_cap()
     if estimate > cap:
         raise BudgetExceeded(
@@ -247,6 +254,7 @@ def _run_space(
         if bounds.patterns is not None
         else all_monotone_patterns(bounds.n, bounds.horizon)
     )
+    inits = bounds.inits if bounds.inits is not None else init_combinations(alg)
     return patterns, inits, estimate
 
 
@@ -442,12 +450,16 @@ def _verdict(predicate: ProblemPredicate, w: ProblemSeq, pattern: FailurePattern
     return "fail"
 
 
-class _SequenceJudge:
-    """The growing observable sequence, judged whole by any predicate.
+class _Judge:
+    """The growing observable sequence of one run, judged by its predicate.
 
-    Has ``_AgreementMonitor``'s push/pop/classify interface, for predicates
-    the monitor does not mirror.
+    ``rows`` holds the sequence: ``push`` appends the row in which process
+    ``i`` shows ``letter`` instead, and ``pop`` takes the last row back.
+    ``classify`` judges the whole sequence, so this judge serves any
+    predicate.
     """
+
+    __slots__ = ("rows", "predicate", "pattern")
 
     def __init__(self, letters: list[str], predicate: ProblemPredicate, pattern: FailurePattern):
         self.rows = [tuple(letters)]
@@ -459,26 +471,27 @@ class _SequenceJudge:
         row[i] = letter
         self.rows.append(tuple(row))
 
-    def pop(self, token: None) -> None:
+    def pop(self) -> None:
         self.rows.pop()
 
     def classify(self) -> str:
+        """'fail' | 'undecided' | 'decided' for the current sequence."""
         return _verdict(self.predicate, tuple(self.rows), self.pattern)
 
 
 def _judge(
     predicate: ProblemPredicate, sigma: frozenset[str], letters: list[str], pattern: FailurePattern
-) -> _AgreementMonitor | _SequenceJudge:
+) -> _Judge:
     """The judge of a sequence that starts at ``letters`` and grows by
     ``push``: ``_AgreementMonitor`` for the two agreement predicates over an
-    alphabet of agreement letters, ``_SequenceJudge`` for anything else."""
+    alphabet of agreement letters, the whole-sequence ``_Judge`` for anything
+    else."""
     if (
         type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
         and sigma <= AGREEMENT_ALPHABET
     ):
-        strong = isinstance(predicate, StrongConsensusPredicate)
-        return _AgreementMonitor(letters, pattern.correct(), strong)
-    return _SequenceJudge(letters, predicate, pattern)
+        return _AgreementMonitor(letters, predicate, pattern)
+    return _Judge(letters, predicate, pattern)
 
 
 def _fair_verdicts(
@@ -492,9 +505,9 @@ def _fair_verdicts(
     with its verdict.
 
     Consecutive runs share a schedule prefix, so the judge of the previous
-    run is kept with a stack of the steps pushed into it: per run, only the
-    steps after the longest prefix of identical ``Step`` objects are popped
-    and pushed, each as its actor's new letter.  The judge starts over
+    run is kept: per run, only the steps after the longest prefix of
+    ``Step`` objects identical to the previous run's are popped and pushed,
+    each as its actor's new letter.  The judge starts over
     whenever the (pattern, history, initial states) family changes.  A scan
     that ends without a fair run raises ``DomainMismatch``: a check over no
     run must not report success.
@@ -502,25 +515,23 @@ def _fair_verdicts(
     interp.check_initial_cover(alg.initial_states)
     of = interp.of
     pattern = history = init = None
-    steps: list[Step] = []
-    tokens: list = []
+    steps: tuple[Step, ...] = ()
     for run in enumerate_runs(alg, fd, strict_bounds):
         if run.init is not init or run.history is not history or run.pattern is not pattern:
             pattern, history, init = run.pattern, run.history, run.init
             letters = [of(i, s) for i, s in enumerate(init)]
             judge = _judge(predicate, interp.sigma, letters, pattern)
-            steps, tokens = [], []
+            steps = ()
         schedule = run.schedule
         keep = 0
         limit = min(len(steps), len(schedule))
         while keep < limit and steps[keep] is schedule[keep]:
             keep += 1
-        for token in reversed(tokens[keep:]):
-            judge.pop(token)
-        del steps[keep:], tokens[keep:]
+        for _ in range(len(steps) - keep):
+            judge.pop()
         for step in schedule[keep:]:
-            tokens.append(judge.push(step.actor, of(step.actor, step.post)))
-            steps.append(step)
+            judge.push(step.actor, of(step.actor, step.post))
+        steps = schedule
         yield run, judge.classify()
     if pattern is None:
         raise DomainMismatch("the bounds admit no fair run")
@@ -755,12 +766,12 @@ class TheoremReport:
         }
 
 
-class _AgreementMonitor:
-    """Incremental verdicts for the two agreement predicates.
+class _AgreementMonitor(_Judge):
+    """The judge of the two agreement predicates, in O(1) per step.
 
-    Mirrors ``ConsensusPredicate``/``StrongConsensusPredicate`` over the
-    growing observable sequence in O(1) per step; cross-checked against the
-    direct evaluation in thorough mode.
+    Mirrors ``ConsensusPredicate``/``StrongConsensusPredicate`` with counters
+    kept in step with ``push`` and ``pop``, each push saving on ``undo`` what
+    its pop restores; ``classify`` reads the counters, not the rows.
     """
 
     __slots__ = (
@@ -772,11 +783,13 @@ class _AgreementMonitor:
         "undecided_survivors",
         "stability_broken",
         "proposal_changed",
+        "undo",
     )
 
-    def __init__(self, letters: list[str], correct: frozenset[int], strong: bool):
-        self.strong = strong
-        self.correct = correct
+    def __init__(self, letters: list[str], predicate: ProblemPredicate, pattern: FailurePattern):
+        super().__init__(letters, predicate, pattern)
+        self.strong = isinstance(predicate, StrongConsensusPredicate)
+        self.correct = correct = pattern.correct()
         self.proposals: list[int] = []
         self.decisions: list[int | None] = []
         self.ever: dict[int, int] = {}
@@ -789,10 +802,14 @@ class _AgreementMonitor:
             if d is not None:
                 self.ever[d] = self.ever.get(d, 0) + 1
         self.undecided_survivors = sum(1 for c in correct if self.decisions[c] is None)
+        self.undo: list[tuple] = []
 
-    def push(self, i: int, letter: str) -> tuple:
+    def push(self, i: int, letter: str) -> None:
+        row = list(self.rows[-1])
+        row[i] = letter
+        self.rows.append(tuple(row))
         old_d = self.decisions[i]
-        token = (i, old_d, self.stability_broken, self.proposal_changed)
+        self.undo.append((i, old_d, self.stability_broken, self.proposal_changed))
         p, d = agreement_state(letter)
         if p != self.proposals[i]:
             self.proposal_changed += 1
@@ -800,10 +817,10 @@ class _AgreementMonitor:
             if old_d is not None:
                 self.stability_broken += 1
             self._decide(i, old_d, d)
-        return token
 
-    def pop(self, token: tuple) -> None:
-        i, old_d, self.stability_broken, self.proposal_changed = token
+    def pop(self) -> None:
+        self.rows.pop()
+        i, old_d, self.stability_broken, self.proposal_changed = self.undo.pop()
         d = self.decisions[i]
         if d != old_d:
             self._decide(i, d, old_d)
@@ -890,8 +907,12 @@ class _TreeWalker(_ScheduleTree):
     ``derive``, ``map_pattern``, ``membership`` and its clause names, which
     initial states and steps the run mapping changes, the per-step clause
     checks and the mapping half of the per-node slow-path cross-check.  The
-    walker adds the observable letters, the predicate's judge and the per-run
-    violations carried by the current path.  ``examples`` (for each of the
+    walker adds the path's two observable sequences, the wrapper run's in
+    the judge (``judge.rows``) and the mapped run's in ``mapped_rows``, one
+    row per step the mapping keeps, and the per-run violations the path
+    carries.  A path on which the two last rows were always equal is
+    aligned: it stutter-expands the mapped sequence by construction, so
+    ``is_stutter`` runs only off such paths.  ``examples`` (for each of the
     first ``MAX_RECORDED_FAILURES`` (clause, detail) pairs, the document of
     the first run seen, or ``None`` for a membership clause) and ``memo``
     (each walked subtree's ``_WalkTotals``, their tallies interned) last for
@@ -939,14 +960,12 @@ class _TreeWalker(_ScheduleTree):
         super().start(pattern, history, init)
         self.mapped_pattern = mapped_pattern
         self.faulty = pattern.faulty()
-        self.letters: list[str] = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
-        self.mapped_init = tuple(self.mapped_state(s) for s in init)
-        #: the original letters of the mapped run's initial states
-        self.mapped_letters = tuple(self.interp.of(i, q) for i, q in enumerate(self.mapped_init))
-        #: processes whose first letter differs from their mapped one
-        self.init_mismatches = sum(a != b for a, b in zip(self.letters, self.mapped_letters))
-        self.w_stack: list[tuple[str, ...]] = [tuple(self.letters)]
-        self.judge = _judge(self.predicate, self.v_tilde.sigma, self.letters, pattern)
+        letters = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
+        self.judge = _judge(self.predicate, self.v_tilde.sigma, letters, pattern)
+        self.mapped_rows = [
+            tuple(self.interp.of(i, self.mapped_state(s)) for i, s in enumerate(init))
+        ]
+        self.init_aligned = self.judge.rows[0] == self.mapped_rows[0]
         #: per-run clause violations carried by the current path
         self.sticky: list[tuple[str, str]] = []
 
@@ -956,10 +975,10 @@ class _TreeWalker(_ScheduleTree):
         """The mapped run's counterpart of an initial state."""
         return state
 
-    def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
-        """Clause violations introduced by this step, and whether the
-        observable alignment invariant survives it."""
-        raise NotImplementedError
+    def step_violations(self, step: Step) -> list[tuple[str, str]]:
+        """Clause violations introduced by this step, read once both
+        sequences hold its rows."""
+        return []
 
     def dropped(self, step: Step) -> bool:
         """Does the run mapping drop this step?"""
@@ -978,44 +997,24 @@ class _TreeWalker(_ScheduleTree):
 
     # -- generic walk ---------------------------------------------------------
 
-    def stutter_reference(self) -> tuple[tuple[str, ...], ...]:
-        """The mapped run's observable sequence, which the current one must
-        expand."""
-        of, dropped = self.interp.of, self.dropped
-        states = list(self.mapped_init)
-        rows = [tuple(of(i, s) for i, s in enumerate(states))]
-        for step in self.schedule:
-            if not dropped(step):
-                states[step.actor] = step.post
-                rows.append(tuple(of(i, s) for i, s in enumerate(states)))
-        return tuple(rows)
-
     def structural_violations(self, mapped: Run, fd: FDSpec) -> list[RunViolation]:
         """Every violation of the mapped run under the wrapped algorithm
         except history membership, which is a clause of its own."""
         report = validate_run(mapped, self.base_alg, fd, ValidationMode.PREFIX_CONSISTENT)
         return [v for v in report.violations if v.condition != "history-membership"]
 
-    def mapped_verdict_not_fail(self) -> bool:
-        """Does the mapped run's observable sequence satisfy the problem (or
-        merely run out of horizon)?  Consulted only when the wrapper run's
-        sequence fails: the preservation claim transfers satisfaction along
-        the mapping, it does not manufacture it."""
-        return _verdict(self.predicate, self.stutter_reference(), self.mapped_pattern) != "fail"
-
     def account_node(self, totals: _WalkTotals, aligned: bool) -> None:
         totals.nodes += 1
         violations = self.sticky
-        c_ok = True
-        if not aligned:
-            c_ok = is_stutter(self.stutter_reference(), tuple(self.w_stack))
-            if not c_ok:
-                violations = violations + [
-                    (self.c_clause, "observable sequence is not a stutter expansion")
-                ]
+        c_ok = aligned or is_stutter(tuple(self.mapped_rows), tuple(self.judge.rows))
+        if not c_ok:
+            violations = violations + [
+                (self.c_clause, "observable sequence is not a stutter expansion")
+            ]
         verdict = self.judge.classify()
+        # satisfaction transfers along the mapping; a failing mapped run excuses
         if verdict == "fail":
-            if self.mapped_verdict_not_fail():
+            if _verdict(self.predicate, tuple(self.mapped_rows), self.mapped_pattern) != "fail":
                 violations = violations + [
                     (
                         self.d_clause,
@@ -1045,22 +1044,23 @@ class _TreeWalker(_ScheduleTree):
         report = validate_run(run, self.alg, self.fd, ValidationMode.PREFIX_CONSISTENT)
         assert report.valid, f"engine produced an invalid run: {report.violations}"
         self.check_mapping(run, {clause for clause, _ in violations})
-        slow_c = is_stutter(self.stutter_reference(), tuple(self.w_stack))
+        mapped = tuple(self.mapped_rows)
+        slow_c = is_stutter(mapped, tuple(self.judge.rows))
         if aligned:
             assert slow_c, "aligned paths must stutter-embed"
         else:
             assert slow_c == c_ok
-        slow_verdict = _verdict(self.predicate, tuple(self.w_stack), self.pattern)
+        slow_verdict = _verdict(self.predicate, tuple(self.judge.rows), self.pattern)
         assert slow_verdict == verdict, f"{slow_verdict} != {verdict}"
         fast_d = any(clause == self.d_clause for clause, _ in violations)
-        assert fast_d == (slow_verdict == "fail" and self.mapped_verdict_not_fail())
+        mapped_fails = _verdict(self.predicate, mapped, self.mapped_pattern) == "fail"
+        assert fast_d == (slow_verdict == "fail" and not mapped_fails)
 
     def walk(self, totals: _WalkTotals) -> None:
         """Account the root once, then every window offset's subtree."""
-        aligned = not self.init_mismatches
-        self.account_node(totals, aligned)
+        self.account_node(totals, self.init_aligned)
         for window_start in range(self.horizon + 1):
-            self.expand(totals, window_start, aligned)
+            self.expand(totals, window_start, self.init_aligned)
 
     def expand(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
         """Walk the children at time ``t`` into ``totals``, or credit them
@@ -1089,28 +1089,32 @@ class _TreeWalker(_ScheduleTree):
         totals.add(subtree)
 
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
-        letters = self.letters
         judge = self.judge
+        rows = judge.rows
+        mapped_rows = self.mapped_rows
         sticky = self.sticky
+        shown_of, mapped_of = self.v_tilde.of, self.interp.of
+        dropped, step_violations = self.dropped, self.step_violations
         for step in self.children(t):
             actor = step.actor
-            new_letter = self.v_tilde.of(actor, step.post)
-            old_letter = letters[actor]
-            letters[actor] = new_letter
-            self.w_stack.append(tuple(letters))
-            token = judge.push(actor, new_letter)
+            judge.push(actor, shown_of(actor, step.post))
+            kept = not dropped(step)
+            if kept:
+                row = list(mapped_rows[-1])
+                row[actor] = mapped_of(actor, step.post)
+                mapped_rows.append(tuple(row))
 
-            step_viols, still_aligned = self.step_violations(step, aligned)
+            step_viols = step_violations(step)
             sticky.extend(step_viols)
-            child_aligned = aligned and still_aligned
+            child_aligned = aligned and rows[-1] == mapped_rows[-1]
             self.account_node(totals, child_aligned)
             self.expand(totals, t + 1, child_aligned)
 
             if step_viols:
                 del sticky[len(sticky) - len(step_viols):]
-            judge.pop(token)
-            self.w_stack.pop()
-            letters[actor] = old_letter
+            if kept:
+                mapped_rows.pop()
+            judge.pop()
 
 
 class _SosWalker(_TreeWalker):
@@ -1132,7 +1136,7 @@ class _SosWalker(_TreeWalker):
 
     def start(self, *family) -> None:
         super().start(*family)
-        if self.init_mismatches:
+        if not self.init_aligned:
             self.sticky.append(
                 (
                     "sos-b-interpretation-equality",
@@ -1146,7 +1150,7 @@ class _SosWalker(_TreeWalker):
         self.memoize = (
             not self.thorough
             and isinstance(self.judge, _AgreementMonitor)
-            and not self.init_mismatches
+            and self.init_aligned
             and all(
                 self.history.at(p, t) == self.faulty
                 for t in range(self.horizon + 1)
@@ -1172,40 +1176,34 @@ class _SosWalker(_TreeWalker):
             self.judge.digest(),
         )
 
-    def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
+    def step_violations(self, step: Step) -> list[tuple[str, str]]:
         out: list[tuple[str, str]] = []
         actor = step.actor
-        still_aligned = True
-        if actor in self.faulty:
-            if step.sent is not None:
-                out.append(
-                    (
-                        "sos-a-stripped-run-valid",
-                        f"eventually-faulty process {actor} sends a message",
-                    )
-                )
-            if self.letters[actor] != self.mapped_letters[actor]:
+        shown = self.judge.rows[-1][actor]
+        # the actor's letter in the stripped run: its last kept state's
+        frozen = self.mapped_rows[-1][actor]
+        if actor not in self.faulty:
+            if shown != frozen:
                 out.append(
                     (
                         "sos-b-interpretation-equality",
-                        f"stalled process {actor} shows {self.letters[actor]!r}, "
-                        f"its frozen view shows {self.mapped_letters[actor]!r}",
+                        f"process {actor} shows {shown!r} under the derived "
+                        f"interpretation but {frozen!r} under the original",
                     )
                 )
-            if self.letters[actor] != self.v_tilde.of(actor, step.pre):
-                still_aligned = False
-        else:
-            if self.letters[actor] != self.interp.of(actor, step.post):
-                out.append(
-                    (
-                        "sos-b-interpretation-equality",
-                        f"process {actor} shows {self.letters[actor]!r} under the derived "
-                        f"interpretation but {self.interp.of(actor, step.post)!r} under the "
-                        f"original",
-                    )
+            return out
+        if step.sent is not None:
+            out.append(
+                ("sos-a-stripped-run-valid", f"eventually-faulty process {actor} sends a message")
+            )
+        if shown != frozen:
+            out.append(
+                (
+                    "sos-b-interpretation-equality",
+                    f"stalled process {actor} shows {shown!r}, its frozen view shows {frozen!r}",
                 )
-                still_aligned = False
-        return out, still_aligned
+            )
+        return out
 
     def dropped(self, step: Step) -> bool:
         return step.actor in self.faulty
@@ -1219,7 +1217,7 @@ class _SosWalker(_TreeWalker):
             a_ok = False
         assert a_ok == ("sos-a-stripped-run-valid" not in fast_clauses)
         if base_run is not None:
-            assert interpret_run(base_run, self.interp) == self.stutter_reference()
+            assert interpret_run(base_run, self.interp) == tuple(self.mapped_rows)
 
         b_ok = True
         stripped_schedule = tuple(s for s in self.schedule if s.actor not in self.faulty)
@@ -1271,14 +1269,6 @@ class _DasWalker(_TreeWalker):
     def mapped_state(self, state: State) -> State:
         return state.base if isinstance(state, DelayState) else state
 
-    def step_violations(self, step: Step, aligned: bool) -> tuple[list[tuple[str, str]], bool]:
-        actor = step.actor
-        if isinstance(step.pre, DelayState):
-            assert step.received is None and step.sent is None
-            # the dropped no-op must not move the observable letter
-            return [], self.letters[actor] == self.v_tilde.of(actor, step.pre)
-        return [], self.letters[actor] == self.interp.of(actor, step.post)
-
     def dropped(self, step: Step) -> bool:
         return isinstance(step.pre, DelayState)
 
@@ -1286,7 +1276,7 @@ class _DasWalker(_TreeWalker):
         mapped = das_run_mapping(run, time_shift=self.time_shift)
         structural = self.structural_violations(mapped, FDSpec.accurate_after(self.k))
         assert not structural, f"mapped run structurally invalid: {structural}"
-        assert interpret_run(mapped, self.interp) == self.stutter_reference()
+        assert interpret_run(mapped, self.interp) == tuple(self.mapped_rows)
 
 
 def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremReport:
@@ -1435,9 +1425,11 @@ def verify_das(
     membership clause, demonstrating that the shift is what makes clause (h)
     hold.  ``thorough`` re-derives every node verdict from scratch.
     Bounds in strict-fairness mode or with a fairness window are refused, and
-    so is a ``k`` outside ``0..horizon-1``, for which ``k+1`` leaves the
-    horizon.
+    so are a horizon of 0, which no accuracy time ``k+1 >= 1`` fits, and a
+    ``k`` outside ``0..horizon-1``, for which ``k+1`` leaves the horizon.
     """
+    if bounds.horizon < 1:
+        raise DomainMismatch("the delay claim needs horizon >= 1 for its accuracy time k+1")
     if not 0 <= k < bounds.horizon:
         raise KOutOfRange(f"stabilization time k={k} outside 0..{bounds.horizon - 1}")
     walker = _DasWalker(

@@ -225,11 +225,18 @@ def builtin_algorithm(
     name: str, n: int
 ) -> tuple[CollectThenDecide, Interpretation, ProblemPredicate]:
     """Instantiate a built-in by wire name: (algorithm, interpretation, problem)."""
+    alg, predicate = _builtin_machine(name, n)
+    return alg, collect_interpretation(alg), predicate
+
+
+def _builtin_machine(name: str, n: int) -> tuple[CollectThenDecide, ProblemPredicate]:
+    """A built-in's algorithm and problem, built without exploring a state:
+    ``collect_interpretation`` explores every reachable state under all 2^n
+    suspect sets."""
     try:
         alg_factory, pred_factory = _BUILTIN_FACTORIES[name]
     except KeyError:
         raise DomainMismatch(
             f"unknown algorithm {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}"
         ) from None
-    alg = alg_factory(n)
-    return alg, collect_interpretation(alg), pred_factory()
+    return alg_factory(n), pred_factory()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fdlab import (
+    Algorithm,
     EnumerationBounds,
     FDSpec,
     builtin_algorithm,
@@ -264,6 +265,35 @@ class TestVerify:
         code = main(["verify", "das", "flood-consensus-p", "--horizon", "3", "--k", k])
         assert code == 2
         assert f"k={k} outside 0..2" in capsys.readouterr().err
+
+    def test_delay_claim_needs_a_positive_horizon(self, capsys) -> None:
+        code = main(["verify", "das", "flood-consensus-p", "--horizon", "0"])
+        assert code == 2
+        assert "the delay claim needs horizon >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify", "sos", "flood-consensus-p"], id="verify"),
+            pytest.param(
+                ["probe", "flood-consensus-p", "--fd", "P", "--problem", "consensus"],
+                id="probe",
+            ),
+        ],
+    )
+    def test_over_cap_request_is_refused_before_any_state_is_explored(
+        self, argv: list[str], capsys, monkeypatch
+    ) -> None:
+        """A built-in's interpretation explores every reachable state under
+        all 2^n suspect sets; an over-cap request must not pay for that."""
+
+        def explore(self, i: int):
+            raise AssertionError("reachable states explored before the run cap")
+
+        monkeypatch.delenv("FDLAB_RUN_CAP", raising=False)
+        monkeypatch.setattr(Algorithm, "reachable_states", explore)
+        assert main([*argv, "--n", "7"]) == 3
+        assert "exceed the cap" in capsys.readouterr().err
 
     def test_malformed_run_cap_is_a_usage_error(self, capsys, monkeypatch) -> None:
         monkeypatch.setenv("FDLAB_RUN_CAP", "abc")

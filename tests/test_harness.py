@@ -416,6 +416,44 @@ class TestFairScan:
         assert str(solves.value) == str(probe.value) == str(expected.value)
 
 
+class TestJudges:
+    @pytest.mark.parametrize(
+        "predicate",
+        [ConsensusPredicate(), StrongConsensusPredicate(), PlantedLengthSensitive()],
+        ids=lambda predicate: predicate.name,
+    )
+    def test_classify_equals_the_whole_sequence_verdict(self, predicate) -> None:
+        """Whichever judge ``_judge`` picks, its verdict after every push and
+        every pop is the predicate's on the rows it holds, and popping every
+        push returns the rows to row 0.  Every sequence of up to three pushes
+        is walked depth first, so pops interleave with pushes."""
+        letters = sorted(predicate.sigma)
+        pushes = [(i, letter) for i in range(2) for letter in letters]
+        judges = set()
+
+        def walk(judge, pattern, depth: int) -> None:
+            assert judge.classify() == harness._verdict(predicate, tuple(judge.rows), pattern)
+            if depth == 3:
+                return
+            for i, letter in pushes:
+                judge.push(i, letter)
+                walk(judge, pattern, depth + 1)
+                judge.pop()
+                assert judge.classify() == harness._verdict(
+                    predicate, tuple(judge.rows), pattern
+                )
+
+        for horizon in range(3):
+            for pattern in all_monotone_patterns(2, horizon):
+                for init in product(sorted(predicate.sigma_init), repeat=2):
+                    judge = harness._judge(predicate, predicate.sigma, list(init), pattern)
+                    judges.add(type(judge))
+                    walk(judge, pattern, 0)
+                    assert judge.rows == [init]
+        agreement = not isinstance(predicate, PlantedLengthSensitive)
+        assert judges == {harness._AgreementMonitor if agreement else harness._Judge}
+
+
 def _untimed(report) -> dict:
     return {key: value for key, value in report.to_dict().items() if key != "elapsed_seconds"}
 
