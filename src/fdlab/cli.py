@@ -61,8 +61,8 @@ def _add_fd_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--marabout-strict-live",
         action=argparse.BooleanOptionalAction,
-        default=True,
-        help="constrain every live observer of the foresight oracle (default on)",
+        default=None,
+        help="constrain every live observer of the foresight oracle M (default on)",
     )
 
 
@@ -136,11 +136,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_fd(text: str, marabout_strict_live: bool) -> FDSpec:
+def _parse_fd(text: str, marabout_strict_live: bool | None) -> FDSpec:
+    """The oracle of ``--fd``; the foresight flag, when given, needs ``M``."""
     spec = FDSpec.parse(text)
-    if spec.kind == "M" and spec.marabout_strict_live != marabout_strict_live:
-        spec = dataclasses.replace(spec, marabout_strict_live=marabout_strict_live)
-    return spec
+    if marabout_strict_live is None:
+        return spec
+    if spec.kind != "M":
+        flag = "--marabout-strict-live" if marabout_strict_live else "--no-marabout-strict-live"
+        raise FdlabError(f"{flag} applies only to the foresight oracle M, not {text!r}")
+    return dataclasses.replace(spec, marabout_strict_live=marabout_strict_live)
 
 
 def _load_algorithm(name_or_path: str, n: int | None) -> Algorithm:

@@ -97,16 +97,19 @@ class FDSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FDSpec":
-        text = text.strip()
+        """The oracle spelled exactly as ``serialize`` spells it."""
         if text == KIND_ALWAYS_ACCURATE:
             return cls.always_accurate()
         if text == KIND_FORESIGHT:
             return cls.foresight()
         if text.startswith("Pk:"):
+            digits = text[3:]
             try:
-                k = int(text[3:])
+                k = int(digits)
             except ValueError as exc:
                 raise DomainMismatch(f"bad stabilization time in {text!r}") from exc
+            if str(k) != digits:
+                raise DomainMismatch(f"bad stabilization time in {text!r}")
             return cls.accurate_after(k)
         raise DomainMismatch(f"unknown oracle spec {text!r}")
 

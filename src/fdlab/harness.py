@@ -180,21 +180,16 @@ def init_combinations(alg: Algorithm) -> tuple[tuple[State, ...], ...]:
     return tuple(product(*(alg.initial_states(i) for i in range(alg.n))))
 
 
-def estimate_run_families(
-    bounds: EnumerationBounds, inits_count: int, patterns_count: int | None = None
-) -> int:
+def estimate_run_families(bounds: EnumerationBounds, inits_count: int) -> int:
     """Upper bound on |patterns| x |histories per pattern| x |initial choices|.
 
     Computed without materializing anything, so a hopeless request is refused
     before any work happens.  Schedules inside a family are enumerated
     exhaustively and only counted after the fact.
     """
-    if patterns_count is None:
-        patterns_count = (
-            len(bounds.patterns)
-            if bounds.patterns is not None
-            else (bounds.horizon + 2) ** bounds.n
-        )
+    patterns_count = (
+        len(bounds.patterns) if bounds.patterns is not None else (bounds.horizon + 2) ** bounds.n
+    )
     cells = bounds.n * (bounds.horizon + 1)
     alternatives = 2**bounds.n - 1
     hist_bound = 1
@@ -766,106 +761,58 @@ class TheoremReport:
         }
 
 
+#: (letter before, letter after) -> does a step that makes this change break
+#: an agreement sequence for good: it changes its actor's proposal, or a
+#: decision already taken
+_BREAKS: dict[tuple[str, str], bool] = {
+    (old, new): agreement_state(new)[0] != agreement_state(old)[0]
+    or agreement_state(old)[1] not in (None, agreement_state(new)[1])
+    for old in AGREEMENT_ALPHABET
+    for new in AGREEMENT_ALPHABET
+}
+
+#: (predicate type, survivors) -> row -> the predicate's verdict on that row
+#: alone; both agreement predicates are stateless and read a pattern only
+#: through its survivors
+_ROW_VERDICTS: dict[tuple[type, frozenset[int]], dict[tuple[str, ...], str]] = {}
+
+
 class _AgreementMonitor(_Judge):
     """The judge of the two agreement predicates, in O(1) per step.
 
-    Mirrors ``ConsensusPredicate``/``StrongConsensusPredicate`` with counters
-    kept in step with ``push`` and ``pop``, each push saving on ``undo`` what
-    its pop restores; ``classify`` reads the counters, not the rows.
+    ``broken`` holds one bit per row: has a step up to it broken the
+    sequence for good (see ``_BREAKS``)?  Until one has, the last row holds
+    every proposal and every decision taken, so the predicate's verdict on
+    the whole sequence is its verdict on the last row alone, cached per row.
+    After a break both predicates fail, since ``undecided`` needs safety too.
     """
 
-    __slots__ = (
-        "strong",
-        "correct",
-        "proposals",
-        "decisions",
-        "ever",
-        "undecided_survivors",
-        "stability_broken",
-        "proposal_changed",
-        "undo",
-    )
+    __slots__ = ("broken", "verdicts")
 
     def __init__(self, letters: list[str], predicate: ProblemPredicate, pattern: FailurePattern):
         super().__init__(letters, predicate, pattern)
-        self.strong = isinstance(predicate, StrongConsensusPredicate)
-        self.correct = correct = pattern.correct()
-        self.proposals: list[int] = []
-        self.decisions: list[int | None] = []
-        self.ever: dict[int, int] = {}
-        self.stability_broken = 0
-        self.proposal_changed = 0
-        for letter in letters:
-            p, d = agreement_state(letter)
-            self.proposals.append(p)
-            self.decisions.append(d)
-            if d is not None:
-                self.ever[d] = self.ever.get(d, 0) + 1
-        self.undecided_survivors = sum(1 for c in correct if self.decisions[c] is None)
-        self.undo: list[tuple] = []
+        self.broken = [False]
+        self.verdicts = _ROW_VERDICTS.setdefault((type(predicate), pattern.correct()), {})
 
     def push(self, i: int, letter: str) -> None:
         row = list(self.rows[-1])
+        self.broken.append(self.broken[-1] or _BREAKS[row[i], letter])
         row[i] = letter
         self.rows.append(tuple(row))
-        old_d = self.decisions[i]
-        self.undo.append((i, old_d, self.stability_broken, self.proposal_changed))
-        p, d = agreement_state(letter)
-        if p != self.proposals[i]:
-            self.proposal_changed += 1
-        if d != old_d:
-            if old_d is not None:
-                self.stability_broken += 1
-            self._decide(i, old_d, d)
 
     def pop(self) -> None:
         self.rows.pop()
-        i, old_d, self.stability_broken, self.proposal_changed = self.undo.pop()
-        d = self.decisions[i]
-        if d != old_d:
-            self._decide(i, d, old_d)
-
-    def _decide(self, i: int, old_d: int | None, d: int | None) -> None:
-        """Move process ``i``'s decision from ``old_d`` to a different ``d``,
-        keeping the counts in step."""
-        if old_d is not None:
-            count = self.ever[old_d] - 1
-            if count:
-                self.ever[old_d] = count
-            else:
-                del self.ever[old_d]
-        if d is not None:
-            self.ever[d] = self.ever.get(d, 0) + 1
-        if i in self.correct:
-            if old_d is None:
-                self.undecided_survivors -= 1
-            elif d is None:
-                self.undecided_survivors += 1
-        self.decisions[i] = d
+        self.broken.pop()
 
     def classify(self) -> str:
         """'fail' | 'undecided' | 'decided' for the current sequence."""
-        if self.stability_broken or self.proposal_changed or len(self.ever) > 1:
+        if self.broken[-1]:
             return "fail"
-        for value in self.ever:
-            # the one value decided anywhere: someone proposed it and, under
-            # the strong rule, some survivor did
-            if value not in self.proposals:
-                return "fail"
-            if self.strong and self.correct and all(
-                self.proposals[c] != value for c in self.correct
-            ):
-                return "fail"
-        # with no survivors nobody is left undecided
-        return "undecided" if self.undecided_survivors else "decided"
-
-    def digest(self) -> tuple:
-        return (
-            self.stability_broken,
-            self.proposal_changed,
-            tuple(sorted(self.ever.items())),
-            tuple(self.proposals),
-        )
+        row = self.rows[-1]
+        verdict = self.verdicts.get(row)
+        if verdict is None:
+            verdict = self.verdicts[row] = _verdict(self.predicate, (row,), self.pattern)
+        return verdict
 
 
 class _WalkTotals:
@@ -1173,7 +1120,9 @@ class _SosWalker(_TreeWalker):
             self.faulty,
             tuple(self.states),
             transit_key,
-            self.judge.digest(),
+            # the states fix the last row, and with it every later verdict
+            # of an unbroken sequence
+            self.judge.broken[-1],
         )
 
     def step_violations(self, step: Step) -> list[tuple[str, str]]:

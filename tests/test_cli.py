@@ -363,12 +363,36 @@ class TestUsage:
                 ["verify", "sos", "flood-consensus-p", "--horizon", "2", "--max-steps", "2"],
                 id="verify",
             ),
+            pytest.param(
+                ["probe", "flood-consensus-p", "--fd", "P", "--problem", "consensus",
+                 "--horizon", "2", "--max-steps", "2"],
+                id="probe-P",
+            ),
+            pytest.param(
+                ["validate", "missing.json", "--algorithm", "flood-consensus-p",
+                 "--fd", "Pk:1"],
+                id="validate-Pk",
+            ),
         ],
     )
     def test_oracle_flag_is_refused_where_no_oracle_is_read(
         self, argv: list[str], flag: str, capsys
     ) -> None:
-        """``transform`` takes no oracle and each claim of ``verify`` fixes
-        its own, so neither takes the foresight oracle's flag."""
+        """``transform`` takes no oracle, each claim of ``verify`` fixes its
+        own, and ``P`` and ``Pk`` have no foresight to constrain, so none of
+        them takes the foresight oracle's flag."""
         assert main([*argv, flag]) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, runs",
+        [([], 2_732), (["--marabout-strict-live"], 2_732), (["--no-marabout-strict-live"], 4_556)],
+    )
+    def test_oracle_flag_is_read_under_the_foresight_oracle(
+        self, flags: list[str], runs: int, capsys
+    ) -> None:
+        """Constraining only the survivors admits more perturbed histories."""
+        argv = ["probe", "flood-consensus-p", "--fd", "M", "--problem", "consensus",
+                "--horizon", "2", "--max-steps", "2", "--history-budget", "1", *flags]
+        assert main(argv) == 0
+        assert f"no violation among {runs} fair runs" in capsys.readouterr().out

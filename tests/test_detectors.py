@@ -51,6 +51,11 @@ class TestFDSpec:
             FDSpec.parse("Q")
         with pytest.raises(DomainMismatch):
             FDSpec.parse("Pk:two")
+        for spelling in ("Pk: 1", "Pk:+1", "Pk:01", "Pk:\u0661", "Pk:1_0", " Pk:1", "M\n"):
+            with pytest.raises(DomainMismatch):
+                FDSpec.parse(spelling)
+        with pytest.raises(KOutOfRange):
+            FDSpec.parse("Pk:-1")
         with pytest.raises(KOutOfRange):
             FDSpec.accurate_after(-1)
         with pytest.raises(DomainMismatch):

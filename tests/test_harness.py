@@ -426,7 +426,9 @@ class TestJudges:
         """Whichever judge ``_judge`` picks, its verdict after every push and
         every pop is the predicate's on the rows it holds, and popping every
         push returns the rows to row 0.  Every sequence of up to three pushes
-        is walked depth first, so pops interleave with pushes."""
+        is walked depth first, so pops interleave with pushes.  At horizon 0,
+        whose patterns cover every survivor set, row 0 ranges over the whole
+        alphabet, so a run may start with a decision already taken."""
         letters = sorted(predicate.sigma)
         pushes = [(i, letter) for i in range(2) for letter in letters]
         judges = set()
@@ -445,7 +447,8 @@ class TestJudges:
 
         for horizon in range(3):
             for pattern in all_monotone_patterns(2, horizon):
-                for init in product(sorted(predicate.sigma_init), repeat=2):
+                starts = predicate.sigma if horizon == 0 else predicate.sigma_init
+                for init in product(sorted(starts), repeat=2):
                     judge = harness._judge(predicate, predicate.sigma, list(init), pattern)
                     judges.add(type(judge))
                     walk(judge, pattern, 0)
