@@ -56,14 +56,8 @@ def _add_bounds_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fd_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fd", required=True, help='oracle: "P", "M", or "Pk:<k>"')
-    parser.add_argument(
-        "--marabout-strict-live",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="constrain every live observer of the foresight oracle M (default on)",
-    )
+def _add_fd_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fd", required=True, help='oracle: "P", "M", "M:correct" or "Pk:<k>"')
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--algorithm", required=True, help="builtin name or algorithm.v1 JSON path"
     )
-    _add_fd_flags(p_val)
+    _add_fd_flag(p_val)
     p_val.add_argument(
         "--mode",
         choices=[m.value for m in ValidationMode],
@@ -116,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pr = sub.add_parser("probe", help="hunt for one problem-violating fair run")
     p_pr.add_argument("algorithm", choices=list(BUILTIN_NAMES))
-    _add_fd_flags(p_pr)
+    _add_fd_flag(p_pr)
     p_pr.add_argument("--problem", required=True, help="consensus or strong-consensus")
     p_pr.add_argument(
         "--require-quiescence",
@@ -134,17 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb in sub.choices.values():
         verb.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
-
-
-def _parse_fd(text: str, marabout_strict_live: bool | None) -> FDSpec:
-    """The oracle of ``--fd``; the foresight flag, when given, needs ``M``."""
-    spec = FDSpec.parse(text)
-    if marabout_strict_live is None:
-        return spec
-    if spec.kind != "M":
-        flag = "--marabout-strict-live" if marabout_strict_live else "--no-marabout-strict-live"
-        raise FdlabError(f"{flag} applies only to the foresight oracle M, not {text!r}")
-    return dataclasses.replace(spec, marabout_strict_live=marabout_strict_live)
 
 
 def _load_algorithm(name_or_path: str, n: int | None) -> Algorithm:
@@ -199,7 +182,7 @@ def _bounds_from_args(args: argparse.Namespace) -> EnumerationBounds:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     alg = _load_algorithm(args.algorithm, args.n)
-    fd = _parse_fd(args.fd, args.marabout_strict_live)
+    fd = FDSpec.parse(args.fd)
     run = run_from_doc(_read_doc(args.trace), alg)
     report = validate_run(
         run, alg, fd, ValidationMode(args.mode), fairness_window=args.fairness_window
@@ -270,7 +253,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         raise FdlabError(
             f"unknown problem {args.problem!r} (choose from {', '.join(PROBLEM_NAMES)})"
         )
-    fd = _parse_fd(args.fd, args.marabout_strict_live)
+    fd = FDSpec.parse(args.fd)
     bounds = dataclasses.replace(_bounds_from_args(args), fairness_window=args.fairness_window)
     alg, interp, _ = _builtin_for(args.algorithm, bounds)
     predicate = (

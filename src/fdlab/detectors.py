@@ -7,8 +7,9 @@ names on the wire:
   and every crashed process ends up permanently suspected by every surviving
   observer.  This is ``Pk:0`` and is computed as such.
 * ``M`` — tells every live process exactly the set of processes that will
-  have crashed by the horizon, at every time point.  With
-  ``marabout_strict_live`` false only surviving observers are constrained.
+  have crashed by the horizon, at every time point.  ``M:correct`` is the
+  loose reading (``marabout_strict_live`` false): only surviving observers
+  are constrained.
 * ``Pk:<k>`` — perfect after time ``k``: a process that is live at time ``k``
   and still live now is never suspected by a live observer, and crashed
   processes end up permanently suspected.
@@ -17,6 +18,10 @@ Membership is split into a safety part (``prefix_consistent``: no forbidden
 suspicion anywhere) and a liveness part (``horizon_complete``: additionally,
 every required permanent suspicion has materialized by the horizon, i.e.
 holds over a nonempty suffix ending at the horizon).
+
+Each class is stated once, by ``_class_rule``: per pattern, one
+``_ClassRule`` that judges histories, builds the canonical history and
+tells the perturbation generator which cell values are admissible.
 """
 
 from __future__ import annotations
@@ -46,10 +51,11 @@ __all__ = [
     "shift_history",
 ]
 
-#: Wire names of the three oracle kinds.
+#: Wire names of the three oracle kinds, and of ``M`` constraining only survivors.
 KIND_ALWAYS_ACCURATE = "P"
 KIND_FORESIGHT = "M"
 KIND_ACCURATE_AFTER = "Pk"
+_LOOSE_FORESIGHT = "M:correct"
 
 _KINDS = (KIND_ALWAYS_ACCURATE, KIND_FORESIGHT, KIND_ACCURATE_AFTER)
 
@@ -60,7 +66,7 @@ class FDSpec:
 
     ``k`` is meaningful only for the ``Pk`` kind; ``marabout_strict_live``
     only for the ``M`` kind (true = constrain all live observers, false =
-    constrain surviving observers only).
+    constrain surviving observers only, spelled ``M:correct``).
     """
 
     kind: str
@@ -77,6 +83,8 @@ class FDSpec:
                 raise KOutOfRange(f"stabilization time k={self.k} is negative")
         elif self.k is not None:
             raise DomainMismatch(f"oracle kind {self.kind} takes no stabilization time")
+        if not self.marabout_strict_live and self.kind != KIND_FORESIGHT:
+            raise DomainMismatch(f"oracle kind {self.kind} has no foresight to loosen")
 
     @classmethod
     def always_accurate(cls) -> "FDSpec":
@@ -93,6 +101,8 @@ class FDSpec:
     def serialize(self) -> str:
         if self.kind == KIND_ACCURATE_AFTER:
             return f"Pk:{self.k}"
+        if not self.marabout_strict_live:
+            return _LOOSE_FORESIGHT
         return self.kind
 
     @classmethod
@@ -102,6 +112,8 @@ class FDSpec:
             return cls.always_accurate()
         if text == KIND_FORESIGHT:
             return cls.foresight()
+        if text == _LOOSE_FORESIGHT:
+            return cls.foresight(strict_live=False)
         if text.startswith("Pk:"):
             digits = text[3:]
             try:
@@ -148,29 +160,24 @@ class MembershipVerdict:
         }
 
 
-def _check_shapes(h: History, f: FailurePattern) -> None:
-    if h.n != f.n or h.horizon != f.horizon:
-        raise DomainMismatch(
-            f"history is over {h.n} processes to horizon {h.horizon}, "
-            f"pattern over {f.n} to {f.horizon}"
-        )
-
-
 @dataclass(frozen=True)
-class _CellRule:
-    """The safety part of one oracle class on one pattern, one cell at a time:
-    may observer ``p`` be told ``v`` at time ``t``?
+class _ClassRule:
+    """One oracle class on one pattern.
 
-    Only the observers in ``observers[t]`` are constrained at ``t``.  Telling
-    one of them a subject in ``forbidden[t]`` breaks ``forbidden_name``, and
-    leaving out a subject of ``required[t]`` breaks ``foresight-missing``.  A
-    history is a safe member exactly when every cell passes.
+    Safety is per cell: only the observers in ``observers[t]`` are
+    constrained at ``t``.  Telling one of them a subject in ``forbidden[t]``
+    breaks ``forbidden_name``, and leaving out a subject of ``required[t]``
+    breaks ``foresight-missing``.  When ``complete`` holds, liveness is owed
+    too: every faulty process is suspected by every correct observer over a
+    nonempty suffix ending at the horizon (equivalently, at the horizon).
     """
 
+    pattern: FailurePattern
     observers: tuple[frozenset[int], ...]
     forbidden: tuple[frozenset[int], ...]
     required: tuple[frozenset[int], ...]
     forbidden_name: str
+    complete: bool
 
     def cell_violations(self, p: int, t: int, value: frozenset[int]) -> list[MembershipViolation]:
         """What telling observer ``p`` the suspect set ``value`` at time ``t``
@@ -188,64 +195,84 @@ class _CellRule:
         )
         return out
 
-    def violations(self, h: History) -> list[MembershipViolation]:
-        """Every broken cell condition of ``h``, by time, observer, then subject."""
-        return [
+    def verdict(self, h: History) -> MembershipVerdict:
+        """Judge ``h``: every broken cell by time, observer, then subject,
+        then every missing permanent suspicion at the horizon."""
+        f = self.pattern
+        if h.n != f.n or h.horizon != f.horizon:
+            raise DomainMismatch(
+                f"history is over {h.n} processes to horizon {h.horizon}, "
+                f"pattern over {f.n} to {f.horizon}"
+            )
+        prefix = [
             v
             for t, observers in enumerate(self.observers)
             for p in sorted(observers)
             for v in self.cell_violations(p, t, h.at(p, t))
         ]
+        suffix = [
+            MembershipViolation("completeness", observer, subject, f.horizon)
+            for observer in sorted(f.correct() if self.complete else ())
+            for subject in sorted(f.faulty())
+            if subject not in h.at(observer, f.horizon)
+        ]
+        return MembershipVerdict(
+            prefix_consistent=not prefix,
+            horizon_complete=not prefix and not suffix,
+            violations=tuple(prefix + suffix),
+        )
+
+    def canonical(self) -> History:
+        """The least-information member: every cell, crashed observers'
+        included, suspects everyone the class does not forbid."""
+        f = self.pattern
+        everyone = frozenset(range(f.n))
+        cells = [everyone - forbidden for forbidden in self.forbidden]
+        return History.from_function(f.n, f.horizon, lambda p, t: cells[t])
 
 
-def _foresight_rule(f: FailurePattern, strict_live: bool) -> _CellRule:
-    """Constrained observers see exactly the horizon-faulty set."""
-    faulty = f.faulty()
+def _class_rule(spec: FDSpec, f: FailurePattern) -> _ClassRule:
+    """The rule of ``spec``'s class on ``f``; the one statement of each class.
+
+    * ``M``: constrained observers see exactly the horizon-faulty set.
+    * ``P`` and ``Pk:<k>``: a live observer never suspects a process live at
+      time ``k`` (0 for ``P``) and still live now, and completeness is owed.
+    """
     times = range(f.horizon + 1)
-    return _CellRule(
-        observers=tuple(f.live_at(t) if strict_live else f.correct() for t in times),
-        forbidden=tuple(f.correct() for _ in times),
-        required=tuple(faulty for _ in times),
-        forbidden_name="foresight-spurious",
-    )
-
-
-def _accuracy_rule(f: FailurePattern, k: int, accuracy: str) -> _CellRule:
-    """A live observer never suspects a process live at time ``k`` and still
-    live now; such suspicions are named ``accuracy``."""
-    _check_k(k, f)
-    protected_base = f.live_at(k)
-    times = range(f.horizon + 1)
-    return _CellRule(
-        observers=tuple(f.live_at(t) for t in times),
-        forbidden=tuple(protected_base & f.live_at(t) for t in times),
-        required=tuple(frozenset() for _ in times),
-        forbidden_name=accuracy,
-    )
-
-
-def _cell_rule(spec: FDSpec, f: FailurePattern) -> _CellRule:
     if spec.kind == KIND_FORESIGHT:
-        return _foresight_rule(f, spec.marabout_strict_live)
-    if spec.kind == KIND_ALWAYS_ACCURATE:
-        return _accuracy_rule(f, 0, "accuracy")
-    assert spec.k is not None
-    return _accuracy_rule(f, spec.k, "late-accuracy")
+        observers = f.live_at if spec.marabout_strict_live else lambda t: f.correct()
+        return _ClassRule(
+            pattern=f,
+            observers=tuple(observers(t) for t in times),
+            forbidden=tuple(f.correct() for _ in times),
+            required=tuple(f.faulty() for _ in times),
+            forbidden_name="foresight-spurious",
+            complete=False,
+        )
+    k = spec.k if spec.kind == KIND_ACCURATE_AFTER else 0
+    assert k is not None
+    if k > f.horizon:
+        raise KOutOfRange(f"stabilization time k={k} outside horizon 0..{f.horizon}")
+    return _ClassRule(
+        pattern=f,
+        observers=tuple(f.live_at(t) for t in times),
+        forbidden=tuple(f.live_at(k) & f.live_at(t) for t in times),
+        required=tuple(frozenset() for _ in times),
+        forbidden_name="late-accuracy" if spec.kind == KIND_ACCURATE_AFTER else "accuracy",
+        complete=True,
+    )
 
 
 def history_in_p(h: History, f: FailurePattern) -> MembershipVerdict:
     """Judge ``h`` against the always-accurate, eventually-complete class:
     the lag-0 member of the accurate-after chain."""
-    return _accurate_after(h, f, 0, "accuracy")
+    return _class_rule(FDSpec.always_accurate(), f).verdict(h)
 
 
 def history_in_m(h: History, f: FailurePattern, strict_live: bool = True) -> MembershipVerdict:
     """Judge ``h`` against the full-foresight class: constrained observers see
     exactly the horizon-faulty set at every time point."""
-    _check_shapes(h, f)
-    violations = _foresight_rule(f, strict_live).violations(h)
-    ok = not violations
-    return MembershipVerdict(ok, ok, tuple(violations))
+    return _class_rule(FDSpec.foresight(strict_live), f).verdict(h)
 
 
 def history_in_pk(h: History, f: FailurePattern, k: int) -> MembershipVerdict:
@@ -255,42 +282,12 @@ def history_in_pk(h: History, f: FailurePattern, k: int) -> MembershipVerdict:
     ``k`` and is still live now.  Liveness: every faulty process is suspected
     by every correct observer over a nonempty suffix ending at the horizon.
     """
-    return _accurate_after(h, f, k, "late-accuracy")
-
-
-def _check_k(k: int, f: FailurePattern) -> None:
-    if k < 0 or k > f.horizon:
-        raise KOutOfRange(f"stabilization time k={k} outside horizon 0..{f.horizon}")
-
-
-def _accurate_after(h: History, f: FailurePattern, k: int, accuracy: str) -> MembershipVerdict:
-    """Membership in the accurate-after-``k`` class, forbidden suspicions
-    named ``accuracy``.  The completeness debt: every faulty process is
-    suspected by every correct observer over a nonempty suffix ending at the
-    horizon (equivalently, at the horizon)."""
-    _check_shapes(h, f)
-    prefix = _accuracy_rule(f, k, accuracy).violations(h)
-    suffix = [
-        MembershipViolation("completeness", observer, subject, f.horizon)
-        for observer in sorted(f.correct())
-        for subject in sorted(f.faulty())
-        if subject not in h.at(observer, f.horizon)
-    ]
-    return MembershipVerdict(
-        prefix_consistent=not prefix,
-        horizon_complete=not prefix and not suffix,
-        violations=tuple(prefix + suffix),
-    )
+    return _class_rule(FDSpec.accurate_after(k), f).verdict(h)
 
 
 def history_matches(spec: FDSpec, h: History, f: FailurePattern) -> MembershipVerdict:
-    """Dispatch membership judgment on an oracle spec."""
-    if spec.kind == KIND_ALWAYS_ACCURATE:
-        return history_in_p(h, f)
-    if spec.kind == KIND_FORESIGHT:
-        return history_in_m(h, f, strict_live=spec.marabout_strict_live)
-    assert spec.k is not None
-    return history_in_pk(h, f, spec.k)
+    """Judge ``h`` against ``spec``'s class."""
+    return _class_rule(spec, f).verdict(h)
 
 
 def canonical_history(spec: FDSpec, f: FailurePattern) -> History:
@@ -302,14 +299,7 @@ def canonical_history(spec: FDSpec, f: FailurePattern) -> History:
 
     Every cell is filled, including cells of crashed observers.
     """
-    if spec.kind == KIND_FORESIGHT:
-        faulty = f.faulty()
-        return History.from_function(f.n, f.horizon, lambda p, t: faulty)
-    k = 0 if spec.kind == KIND_ALWAYS_ACCURATE else spec.k
-    assert k is not None
-    _check_k(k, f)
-    early = f.crashed_at(k)
-    return History.from_function(f.n, f.horizon, lambda p, t: f.crashed_at(t) | early)
+    return _class_rule(spec, f).canonical()
 
 
 #: One cell rewrite of a canonical history: ``((observer, time), value)``.
@@ -339,11 +329,11 @@ def _perturbations(
     """
     if budget < 0:
         raise DomainMismatch(f"negative deviation budget {budget}")
-    base = canonical_history(spec, f)
+    rule = _class_rule(spec, f)
+    base = rule.canonical()
     yield (), base
     if budget == 0:
         return
-    rule = _cell_rule(spec, f)
     cells = [(p, t) for p in range(f.n) for t in range(f.horizon + 1)]
     value_pool = _sorted_subsets(f.n)
     admissible = {

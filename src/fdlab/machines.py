@@ -185,8 +185,19 @@ class TableAlgorithm(Algorithm):
         ],
         payloads: tuple[tuple[str, ...], ...],
     ):
+        if n < 1:
+            raise DomainMismatch(f"an algorithm needs at least one process, not n={n}")
         if len(initials) != n or len(tables) != n or len(payloads) != n:
             raise DomainMismatch("per-process tables do not cover the process set")
+        for i, (states, table) in enumerate(zip(initials, tables)):
+            if not states:
+                raise DomainMismatch(f"process {i} has no initial state")
+            for (_, received, suspects), (_, sent) in table.items():
+                named = [*suspects, *(m[0] for m in (received, sent) if m is not None)]
+                if any(q not in range(n) for q in named):
+                    raise DomainMismatch(
+                        f"a transition of process {i} names a process outside 0..{n - 1}"
+                    )
         self.name = name
         self.n = n
         self._initials = initials

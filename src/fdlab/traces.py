@@ -23,6 +23,7 @@ from .model import (
     History,
     Message,
     Run,
+    State,
     Step,
     _receipt_domain,
     _sorted_subsets,
@@ -86,10 +87,13 @@ def _row_to_doc(alg: Algorithm, pre, received, suspects, post, dispatch) -> dict
     }
 
 
+#: What reading a malformed field raises; parsers turn it into DomainMismatch.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _row_from_doc(row: Mapping, parse_state) -> tuple:
-    """Inverse of :func:`_row_to_doc`.  A malformed field raises ``KeyError``,
-    ``TypeError`` or ``ValueError``; callers turn these into
-    :class:`DomainMismatch`."""
+    """Inverse of :func:`_row_to_doc`.  A malformed field raises one of
+    ``_MALFORMED``."""
     return (
         parse_state(row["pre"]),
         _transmission(row["recv"], "recv is [sender, payload]"),
@@ -123,7 +127,7 @@ def run_from_doc(doc: Mapping, alg: Algorithm) -> Run:
     _require(doc.get("schema", "run.v1") == "run.v1", "unsupported run schema")
     try:
         return _parse_run(doc, alg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DomainMismatch(f"malformed run document: {exc}") from exc
 
 
@@ -158,15 +162,19 @@ def _parse_run(doc: Mapping, alg: Algorithm) -> Run:
         cells[p][t] = frozenset(int(q) for q in ids)
     history = History(n, horizon, tuple(tuple(r) for r in cells))
 
+    def parse_state(text) -> State:
+        _require(isinstance(text, str), f"state {text!r} is not a string")
+        return alg.parse_state(text)
+
     _require(len(init_row) == n, "init must list one state per process")
-    init = tuple(alg.parse_state(s) for s in init_row)
+    init = tuple(parse_state(s) for s in init_row)
 
     outstanding: list[Message] = []
     steps: list[Step] = []
     sentinel = -1
     for index, row in enumerate(schedule_rows):
         actor = int(row["actor"])
-        pre, recv, suspects, post, send = _row_from_doc(row, alg.parse_state)
+        pre, recv, suspects, post, send = _row_from_doc(row, parse_state)
         received = None
         if recv is not None:
             sender, payload = recv
@@ -222,7 +230,7 @@ def problem_from_doc(doc: Mapping, alg: Algorithm) -> Interpretation:
             {alg.parse_state(key): str(letter) for key, letter in dict(table).items()}
             for table in doc["V"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DomainMismatch(f"malformed problem document: {exc}") from exc
     return Interpretation(maps, sigma, sigma_init)
 
@@ -283,6 +291,6 @@ def algorithm_from_doc(doc: Mapping):
                 _require(key not in table, f"table of process {i} lists {key} twice")
                 table[key] = (post, dispatch)
             tables.append(table)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DomainMismatch(f"malformed algorithm document: {exc}") from exc
     return TableAlgorithm(name, n, init, tuple(tables), payloads)

@@ -2,14 +2,14 @@
 
 Two validation modes exist.  ``PREFIX_CONSISTENT`` checks every safety
 condition: every process starts in one of its initial states, crashed
-processes take no steps, oracle outputs match the history,
-messages are received at most once and only after being sent, states chain
-correctly, every step is an actual transition of the algorithm, and the
-history is a safe member of the oracle class.  ``STRICT_FAIRNESS``
-additionally demands the liveness debts a finite run can discharge: every
-message addressed to a surviving process is received within the run, and
-every surviving process steps at least once in every time window of the
-configured length.
+processes take no steps, oracle outputs match the history, messages go to
+processes of the run and are received at most once and only after being
+sent, states chain correctly, every step is an actual transition of the
+algorithm, and the history is a safe member of the oracle class.
+``STRICT_FAIRNESS`` additionally demands the liveness debts a finite run
+can discharge: every message addressed to a surviving process is received
+within the run, and every surviving process steps at least once in every
+time window of the configured length.
 """
 
 from __future__ import annotations
@@ -180,6 +180,8 @@ def validate_run(
             )
         if step.sent is not None:
             m = step.sent
+            if not 0 <= m.receiver < run.n:
+                violations.append(RunViolation("receiver-range", index, f"no process {m.receiver}"))
             if m.sender != p:
                 violations.append(
                     RunViolation(

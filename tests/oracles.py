@@ -6,14 +6,15 @@ breadth-first instead of using the dynamic program, and the run oracle builds
 schedules by unguided syntactic search and keeps whatever ``validate_run``
 accepts instead of generating only legal steps, and the solvability scan
 re-validates and re-interprets every run from scratch instead of following
-the schedule tree.  The history references build every candidate variant
-and re-judge it whole, and group histories by their values on every live
-cell.
+the schedule tree.  The history references judge and build histories
+with the oracle classes as first written, one function per class, build
+every candidate variant and re-judge it whole, and group histories by their
+values on every live cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Iterator
 
@@ -25,14 +26,15 @@ from fdlab import (
     FDSpec,
     History,
     Interpretation,
+    KOutOfRange,
+    MembershipVerdict,
+    MembershipViolation,
     Message,
     Run,
     Step,
     ValidationMode,
     all_monotone_patterns,
-    canonical_history,
     enumerate_runs,
-    history_matches,
     init_combinations,
     interpret_run,
     perturbed_histories,
@@ -148,13 +150,141 @@ def canonical_sequence_pairs(
         yield w, w_prime
 
 
+# ---------------------------------------------------------------------------
+# The oracle classes as first written: each class stated per function, the
+# cell rule and the canonical history apart.
+
+
+def _reference_check_shapes(h: History, f: FailurePattern) -> None:
+    if h.n != f.n or h.horizon != f.horizon:
+        raise DomainMismatch(
+            f"history is over {h.n} processes to horizon {h.horizon}, "
+            f"pattern over {f.n} to {f.horizon}"
+        )
+
+
+@dataclass(frozen=True)
+class _ReferenceCellRule:
+    """The safety part of one oracle class on one pattern, one cell at a time:
+    may observer ``p`` be told ``v`` at time ``t``?"""
+
+    observers: tuple[frozenset[int], ...]
+    forbidden: tuple[frozenset[int], ...]
+    required: tuple[frozenset[int], ...]
+    forbidden_name: str
+
+    def cell_violations(self, p: int, t: int, value: frozenset[int]) -> list[MembershipViolation]:
+        if p not in self.observers[t]:
+            return []
+        out = [
+            MembershipViolation(self.forbidden_name, p, subject, t)
+            for subject in sorted(value & self.forbidden[t])
+        ]
+        out.extend(
+            MembershipViolation("foresight-missing", p, subject, t)
+            for subject in sorted(self.required[t] - value)
+        )
+        return out
+
+    def violations(self, h: History) -> list[MembershipViolation]:
+        return [
+            v
+            for t, observers in enumerate(self.observers)
+            for p in sorted(observers)
+            for v in self.cell_violations(p, t, h.at(p, t))
+        ]
+
+
+def _reference_foresight_rule(f: FailurePattern, strict_live: bool) -> _ReferenceCellRule:
+    faulty = f.faulty()
+    times = range(f.horizon + 1)
+    return _ReferenceCellRule(
+        observers=tuple(f.live_at(t) if strict_live else f.correct() for t in times),
+        forbidden=tuple(f.correct() for _ in times),
+        required=tuple(faulty for _ in times),
+        forbidden_name="foresight-spurious",
+    )
+
+
+def _reference_accuracy_rule(f: FailurePattern, k: int, accuracy: str) -> _ReferenceCellRule:
+    _reference_check_k(k, f)
+    protected_base = f.live_at(k)
+    times = range(f.horizon + 1)
+    return _ReferenceCellRule(
+        observers=tuple(f.live_at(t) for t in times),
+        forbidden=tuple(protected_base & f.live_at(t) for t in times),
+        required=tuple(frozenset() for _ in times),
+        forbidden_name=accuracy,
+    )
+
+
+def reference_history_in_p(h: History, f: FailurePattern) -> MembershipVerdict:
+    return _reference_accurate_after(h, f, 0, "accuracy")
+
+
+def reference_history_in_m(
+    h: History, f: FailurePattern, strict_live: bool = True
+) -> MembershipVerdict:
+    _reference_check_shapes(h, f)
+    violations = _reference_foresight_rule(f, strict_live).violations(h)
+    ok = not violations
+    return MembershipVerdict(ok, ok, tuple(violations))
+
+
+def reference_history_in_pk(h: History, f: FailurePattern, k: int) -> MembershipVerdict:
+    return _reference_accurate_after(h, f, k, "late-accuracy")
+
+
+def _reference_check_k(k: int, f: FailurePattern) -> None:
+    if k < 0 or k > f.horizon:
+        raise KOutOfRange(f"stabilization time k={k} outside horizon 0..{f.horizon}")
+
+
+def _reference_accurate_after(
+    h: History, f: FailurePattern, k: int, accuracy: str
+) -> MembershipVerdict:
+    _reference_check_shapes(h, f)
+    prefix = _reference_accuracy_rule(f, k, accuracy).violations(h)
+    suffix = [
+        MembershipViolation("completeness", observer, subject, f.horizon)
+        for observer in sorted(f.correct())
+        for subject in sorted(f.faulty())
+        if subject not in h.at(observer, f.horizon)
+    ]
+    return MembershipVerdict(
+        prefix_consistent=not prefix,
+        horizon_complete=not prefix and not suffix,
+        violations=tuple(prefix + suffix),
+    )
+
+
+def reference_history_matches(spec: FDSpec, h: History, f: FailurePattern) -> MembershipVerdict:
+    if spec.kind == "P":
+        return reference_history_in_p(h, f)
+    if spec.kind == "M":
+        return reference_history_in_m(h, f, strict_live=spec.marabout_strict_live)
+    assert spec.k is not None
+    return reference_history_in_pk(h, f, spec.k)
+
+
+def reference_canonical_history(spec: FDSpec, f: FailurePattern) -> History:
+    if spec.kind == "M":
+        faulty = f.faulty()
+        return History.from_function(f.n, f.horizon, lambda p, t: faulty)
+    k = 0 if spec.kind == "P" else spec.k
+    assert k is not None
+    _reference_check_k(k, f)
+    early = f.crashed_at(k)
+    return History.from_function(f.n, f.horizon, lambda p, t: f.crashed_at(t) | early)
+
+
 def reference_perturbed_histories(spec: FDSpec, f: FailurePattern, budget: int) -> list[History]:
     """``perturbed_histories`` by candidate and test: every rewrite of at most
     ``budget`` cells is built, and kept if the whole history is still a safe
     member of the class."""
     if budget < 0:
         raise DomainMismatch(f"negative deviation budget {budget}")
-    base = canonical_history(spec, f)
+    base = reference_canonical_history(spec, f)
     cells = [(p, t) for p in range(f.n) for t in range(f.horizon + 1)]
     value_pool = _sorted_subsets(f.n)
     out = [base]
@@ -167,7 +297,7 @@ def reference_perturbed_histories(spec: FDSpec, f: FailurePattern, budget: int) 
                 variant = base
                 for (p, t), value in zip(chosen, values):
                     variant = variant.with_cell(p, t, value)
-                if history_matches(spec, variant, f).prefix_consistent:
+                if reference_history_matches(spec, variant, f).prefix_consistent:
                     out.append(variant)
     return out
 

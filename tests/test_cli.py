@@ -211,6 +211,39 @@ class TestTransform:
         assert captured.out == ""
         assert "--n applies only to builtin algorithms" in captured.err
 
+    @pytest.mark.parametrize("verb", ["transform", "validate"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(
+                {"schema": "algorithm.v1", "name": "empty", "n": 0, "init": [],
+                 "payloads": [], "table": []},
+                id="no-process",
+            ),
+            pytest.param(
+                {"schema": "algorithm.v1", "name": "stray", "n": 2, "init": [["a"], ["p"]],
+                 "payloads": [["x"], []],
+                 "table": [[{"pre": "a", "recv": None, "fd": [], "post": "b",
+                             "send": [5, "x"]}], []]},
+                id="send-to-no-process",
+            ),
+        ],
+    )
+    def test_algorithm_document_outside_its_processes_is_a_usage_error(
+        self, verb: str, doc: dict, tmp_path: Path, run_file: Path, capsys
+    ) -> None:
+        path = tmp_path / "alg.json"
+        path.write_text(canonical_json(doc))
+        argv = (
+            ["transform", "sos", str(path)]
+            if verb == "transform"
+            else ["validate", str(run_file), "--algorithm", str(path), "--fd", "P"]
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestVerify:
     def test_stall_claim_passes_at_small_bounds(self, capsys) -> None:
@@ -373,26 +406,35 @@ class TestUsage:
                  "--fd", "Pk:1"],
                 id="validate-Pk",
             ),
+            pytest.param(
+                ["probe", "flood-consensus-p", "--fd", "M", "--problem", "consensus",
+                 "--horizon", "2", "--max-steps", "2"],
+                id="probe-M",
+            ),
+            pytest.param(
+                ["validate", "missing.json", "--algorithm", "flood-consensus-p",
+                 "--fd", "M"],
+                id="validate-M",
+            ),
         ],
     )
     def test_oracle_flag_is_refused_where_no_oracle_is_read(
         self, argv: list[str], flag: str, capsys
     ) -> None:
-        """``transform`` takes no oracle, each claim of ``verify`` fixes its
-        own, and ``P`` and ``Pk`` have no foresight to constrain, so none of
-        them takes the foresight oracle's flag."""
+        """No verb takes a foresight flag: ``transform`` takes no oracle, each
+        claim of ``verify`` fixes its own, and the loose foresight oracle has
+        its own name, ``--fd M:correct``."""
         assert main([*argv, flag]) == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flags, runs",
-        [([], 2_732), (["--marabout-strict-live"], 2_732), (["--no-marabout-strict-live"], 4_556)],
-    )
+    @pytest.mark.parametrize("fd, runs", [("M", 2_732), ("M:correct", 4_556)])
     def test_oracle_flag_is_read_under_the_foresight_oracle(
-        self, flags: list[str], runs: int, capsys
+        self, fd: str, runs: int, capsys
     ) -> None:
-        """Constraining only the survivors admits more perturbed histories."""
-        argv = ["probe", "flood-consensus-p", "--fd", "M", "--problem", "consensus",
-                "--horizon", "2", "--max-steps", "2", "--history-budget", "1", *flags]
+        """Constraining only the survivors admits more perturbed histories,
+        and the report names the oracle it checked."""
+        argv = ["probe", "flood-consensus-p", "--fd", fd, "--problem", "consensus",
+                "--horizon", "2", "--max-steps", "2", "--history-budget", "1"]
         assert main(argv) == 0
-        assert f"no violation among {runs} fair runs" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"under {fd} against consensus: no violation among {runs} fair runs" in out

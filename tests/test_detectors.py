@@ -26,11 +26,19 @@ from fdlab import (
     shift_pattern,
 )
 
+from .oracles import (
+    reference_canonical_history,
+    reference_history_in_m,
+    reference_history_in_p,
+    reference_history_in_pk,
+)
+
 
 def spec_strategy():
     return st.one_of(
         st.just(FDSpec.always_accurate()),
         st.just(FDSpec.foresight()),
+        st.just(FDSpec.foresight(False)),
         st.integers(min_value=0, max_value=5).map(FDSpec.accurate_after),
     )
 
@@ -41,9 +49,27 @@ class TestFDSpec:
     def test_serialize_parse_round_trip(self, spec: FDSpec) -> None:
         assert FDSpec.parse(spec.serialize()) == spec
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.sampled_from(["P", "M", "M:correct", "Pk:", "M:"]).flatmap(
+                lambda prefix: st.text(max_size=4).map(lambda rest: prefix + rest)
+            ),
+        )
+    )
+    def test_every_text_is_a_wire_name_or_refused(self, text: str) -> None:
+        """A text names an oracle exactly when that oracle serializes to it."""
+        try:
+            spec = FDSpec.parse(text)
+        except (DomainMismatch, KOutOfRange):
+            return
+        assert spec.serialize() == text
+
     def test_wire_names(self) -> None:
         assert FDSpec.always_accurate().serialize() == "P"
         assert FDSpec.foresight().serialize() == "M"
+        assert FDSpec.foresight(strict_live=False).serialize() == "M:correct"
         assert FDSpec.accurate_after(2).serialize() == "Pk:2"
 
     def test_rejects_bad_specs(self) -> None:
@@ -62,6 +88,9 @@ class TestFDSpec:
             FDSpec("P", k=1)
         with pytest.raises(KOutOfRange):
             FDSpec("Pk")
+        for kind, k in (("P", None), ("Pk", 1)):
+            with pytest.raises(DomainMismatch):
+                FDSpec(kind, k=k, marabout_strict_live=False)
 
 
 class TestMembership:
@@ -162,6 +191,42 @@ class TestMembership:
                         assert renamed == list(in_pk.violations)
                         pairs += 1
         assert pairs == 17_186
+
+    def test_classes_equal_their_first_statement(self) -> None:
+        """Canonical histories and whole verdicts, violations in order, equal
+        the references for P, M, M:correct and every Pk:k, on every pattern
+        with n <= 3 and horizon <= 3, on each canonical history and every
+        one-cell rewrite of it."""
+        pairs = 0
+        for n in (1, 2, 3):
+            values = [frozenset(s) for r in range(n + 1) for s in combinations(range(n), r)]
+            for horizon in range(4):
+                judges = [
+                    (FDSpec.always_accurate(), reference_history_in_p),
+                    (FDSpec.foresight(), reference_history_in_m),
+                    (
+                        FDSpec.foresight(strict_live=False),
+                        lambda h, f: reference_history_in_m(h, f, strict_live=False),
+                    ),
+                ] + [
+                    (FDSpec.accurate_after(k), lambda h, f, k=k: reference_history_in_pk(h, f, k))
+                    for k in range(horizon + 1)
+                ]
+                for f in all_monotone_patterns(n, horizon):
+                    for spec, reference in judges:
+                        base = canonical_history(spec, f)
+                        assert base == reference_canonical_history(spec, f)
+                        histories = [base] + [
+                            base.with_cell(q, t, value)
+                            for q in range(n)
+                            for t in range(horizon + 1)
+                            for value in values
+                            if value != base.at(q, t)
+                        ]
+                        for h in histories:
+                            assert history_matches(spec, h, f) == reference(h, f)
+                            pairs += 1
+        assert pairs == 112_688
 
     def test_shape_mismatch_raises(self) -> None:
         f = FailurePattern.from_crash_times(2, 2, {})

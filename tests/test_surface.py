@@ -51,7 +51,7 @@ EXPORTS = {
 }
 
 BOUNDS = {"--n", "--horizon", "--max-steps", "--history-budget"}
-ORACLE = {"--fd", "--marabout-strict-live", "--no-marabout-strict-live"}
+ORACLE = {"--fd"}
 
 #: per verb, its positional arguments in <angle brackets> and its options
 VERBS = {

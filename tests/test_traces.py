@@ -256,3 +256,14 @@ class TestAlgorithmDocuments:
         doc["table"] = [good["table"][0] + [dict(row, post="garbage")], good["table"][1]]
         with pytest.raises(DomainMismatch, match="twice"):
             algorithm_from_doc(doc)
+        empty = dict(good, n=0, init=[], payloads=[], table=[])
+        with pytest.raises(DomainMismatch, match="at least one process"):
+            algorithm_from_doc(empty)
+        with pytest.raises(DomainMismatch, match="no initial state"):
+            algorithm_from_doc(dict(good, init=[[], good["init"][1]]))
+        for field, value in (("recv", [5, "p"]), ("send", [5, "p"]), ("send", [-1, "p"]),
+                             ("fd", [2]), ("fd", [0, -1])):
+            doc = dict(good)
+            doc["table"] = [[dict(row, **{field: value})], []]
+            with pytest.raises(DomainMismatch, match="outside 0..1"):
+                algorithm_from_doc(doc)

@@ -7,9 +7,12 @@ import dataclasses
 import pytest
 
 from fdlab import (
+    Algorithm,
     DomainMismatch,
     EnumerationBounds,
+    FailurePattern,
     FDSpec,
+    History,
     Message,
     Run,
     Step,
@@ -196,6 +199,37 @@ class TestStepConditions:
             a, b = sends[0], sends[1]
             clone = rich_run.schedule[b].sent._replace(tag=rich_run.schedule[a].sent.tag)
             assert "duplicate-tag" in conditions(replace_step(rich_run, b, sent=clone))
+
+    def test_send_to_no_process_of_the_run(self) -> None:
+        """An algorithm that addresses a process the run does not have."""
+
+        class StraySender(Algorithm):
+            name, n = "stray-sender", 2
+
+            def initial_states(self, i: int) -> tuple[str, ...]:
+                return ("a",)
+
+            def transition(self, i, state, received, suspects):
+                return ("b", (5, "x")) if (i, state, received) == (0, "a", None) else None
+
+            def payload_alphabet(self, i: int) -> tuple[str, ...]:
+                return ("x",) if i == 0 else ()
+
+            def state_str(self, state: str) -> str:
+                return state
+
+            def parse_state(self, text: str) -> str:
+                return text
+
+        pattern = FailurePattern.from_crash_times(2, 1, {})
+        history = History.from_function(2, 1, lambda p, t: frozenset())
+        step = Step(0, "a", None, frozenset(), "b", Message(0, 5, "x", 0))
+        run = Run(pattern, history, ("a", "a"), (step,), (0,))
+        report = validate_run(run, StraySender(), FD)
+        assert [(v.condition, v.step_index) for v in report.violations] == [
+            ("receiver-range", 0)
+        ]
+        assert not report.valid
 
 
 class TestHistoryMembership:
