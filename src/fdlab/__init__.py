@@ -34,7 +34,6 @@ from .errors import (
     NonPositiveTime,
     NoSuchInTransitMessage,
     NotSoSRun,
-    StutterDepthExceeded,
     UncoveredState,
 )
 from .harness import (

@@ -141,15 +141,12 @@ def _load_algorithm(name_or_path: str, n: int | None) -> Algorithm:
             f"--n applies only to builtin algorithms; {name_or_path!r} is an "
             "algorithm document and fixes its own process count"
         )
-    if name_or_path == "-":
-        return algorithm_from_doc(json.loads(sys.stdin.read()))
-    path = Path(name_or_path)
-    if not path.exists():
+    if name_or_path != "-" and not Path(name_or_path).exists():
         raise FdlabError(
             f"unknown algorithm {name_or_path!r}: not a builtin "
             f"({', '.join(BUILTIN_NAMES)}) and no such file"
         )
-    return algorithm_from_doc(json.loads(path.read_text()))
+    return algorithm_from_doc(_read_doc(name_or_path))
 
 
 def _builtin_for(
@@ -167,8 +164,15 @@ def _builtin_for(
 
 
 def _read_doc(path_or_dash: str) -> dict:
-    text = sys.stdin.read() if path_or_dash == "-" else Path(path_or_dash).read_text()
-    return json.loads(text)
+    """The JSON document in a file, or on stdin for ``-``.  Text that is not
+    UTF-8, malformed JSON, a number literal past Python's integer conversion
+    limit and nesting past the recursion limit are usage errors."""
+    try:
+        text = sys.stdin.read() if path_or_dash == "-" else Path(path_or_dash).read_text()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        source = "standard input" if path_or_dash == "-" else path_or_dash
+        raise FdlabError(f"{source} is not a readable JSON document: {exc}") from None
 
 
 def _bounds_from_args(args: argparse.Namespace) -> EnumerationBounds:
@@ -304,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FdlabError, OSError, json.JSONDecodeError) as exc:
+    except (FdlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ __all__ = [
     "KOutOfRange",
     "UncoveredState",
     "AlphabetMismatch",
-    "StutterDepthExceeded",
     "BudgetExceeded",
     "NotSoSRun",
     "FaultyStepPresent",
@@ -49,10 +48,6 @@ class UncoveredState(FdlabError):
 
 class AlphabetMismatch(FdlabError):
     """A value lies outside the declared observable alphabet."""
-
-
-class StutterDepthExceeded(FdlabError):
-    """A stutter comparison would need more insertions than the configured bound."""
 
 
 class BudgetExceeded(FdlabError):

@@ -155,11 +155,13 @@ class EnumerationBounds:
         raw = os.environ.get(RUN_CAP_ENV_VAR)
         if raw is None:
             return DEFAULT_RUN_CAP
-        if not raw.strip().isdecimal():
-            raise DomainMismatch(
-                f"{RUN_CAP_ENV_VAR} must be a non-negative integer, got {raw!r}"
-            )
-        return int(raw)
+        digits = raw.strip()
+        try:
+            if digits.isascii() and digits.isdecimal():
+                return int(digits)
+        except ValueError:  # more digits than Python converts to an int
+            pass
+        raise DomainMismatch(f"{RUN_CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -276,9 +278,10 @@ class _ScheduleTree:
     family at a time.
 
     ``start`` roots the tree at a family.  The tree holds the current path:
-    per-process states, the messages in transit (in send order), the
-    schedule and its times.  ``delta_cache`` memoizes ``alg.transition`` for
-    every family of the call.
+    per-process states, the messages in transit (in send order) and the
+    schedule, whose steps sit at consecutive times from the window
+    ``offset`` that the walk sets.  ``delta_cache`` memoizes
+    ``alg.transition`` for every family of the call.
     """
 
     def __init__(self, alg: Algorithm, max_steps: int):
@@ -296,13 +299,12 @@ class _ScheduleTree:
         self.states: list[State] = list(init)
         self.transit: list[Message] = []
         self.schedule: list[Step] = []
-        self.times: list[int] = []
+        self.offset = 0
 
     def run(self) -> Run:
         """The current path as a run."""
-        return Run(
-            self.pattern, self.history, self.init, tuple(self.schedule), tuple(self.times)
-        )
+        times = tuple(range(self.offset, self.offset + len(self.schedule)))
+        return Run(self.pattern, self.history, self.init, tuple(self.schedule), times)
 
     def children(self, t: int) -> Iterator[Step]:
         """Apply each step enabled at time ``t``, yield it, then undo it.
@@ -351,9 +353,7 @@ class _ScheduleTree:
                 if sent is not None:
                     transit.append(sent)
                 self.schedule.append(step)
-                self.times.append(t)
                 yield step
-                self.times.pop()
                 self.schedule.pop()
                 if sent is not None:
                     transit.pop()
@@ -383,8 +383,9 @@ class _ScheduleTree:
             yield self.run()
         # from this offset on, an owed process has idled a whole window
         too_late = window + min(last) + 1
-        for window_start in range(min(self.horizon + 1, too_late)):
-            yield from self._below(window_start, window, owed, last, 0)
+        for offset in range(min(self.horizon + 1, too_late)):
+            self.offset = offset
+            yield from self._below(offset, window, owed, last, 0)
 
     def _below(
         self, t: int, window: int, owed: frozenset[int], last: list[int], debt: int
@@ -854,11 +855,11 @@ class _TreeWalker(_ScheduleTree):
     ``derive``, ``map_pattern``, ``membership`` and its clause names, which
     initial states and steps the run mapping changes, the per-step clause
     checks and the mapping half of the per-node slow-path cross-check.  The
-    walker adds the path's two observable sequences, the wrapper run's in
-    the judge (``judge.rows``) and the mapped run's in ``mapped_rows``, one
-    row per step the mapping keeps, and the per-run violations the path
-    carries.  A path on which the two last rows were always equal is
-    aligned: it stutter-expands the mapped sequence by construction, so
+    walker adds the path's two observable sequences, each in its own judge:
+    the wrapper run's in ``judge``, and the mapped run's in ``mapped``, one
+    row per step the mapping keeps.  It also keeps the per-run violations
+    the path carries.  A path on which the two last rows were always equal
+    is aligned: it stutter-expands the mapped sequence by construction, so
     ``is_stutter`` runs only off such paths.  ``examples`` (for each of the
     first ``MAX_RECORDED_FAILURES`` (clause, detail) pairs, the document of
     the first run seen, or ``None`` for a membership clause) and ``memo``
@@ -896,23 +897,17 @@ class _TreeWalker(_ScheduleTree):
         self.memo: dict[tuple, _WalkTotals] = {}
         self.tallies: dict[tuple, dict[tuple[str, str], int]] = {}
 
-    def start(
-        self,
-        pattern: FailurePattern,
-        history: History,
-        init: tuple[State, ...],
-        mapped_pattern: FailurePattern,
-    ) -> None:
-        """Root the walk at a family whose run maps under ``mapped_pattern``."""
+    def start(self, pattern: FailurePattern, history: History, init: tuple[State, ...]) -> None:
+        """Root the walk at a family, with one judge per observable sequence."""
         super().start(pattern, history, init)
-        self.mapped_pattern = mapped_pattern
         self.faulty = pattern.faulty()
         letters = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
         self.judge = _judge(self.predicate, self.v_tilde.sigma, letters, pattern)
-        self.mapped_rows = [
-            tuple(self.interp.of(i, self.mapped_state(s)) for i, s in enumerate(init))
-        ]
-        self.init_aligned = self.judge.rows[0] == self.mapped_rows[0]
+        mapped_letters = [self.interp.of(i, self.mapped_state(s)) for i, s in enumerate(init)]
+        self.mapped = _judge(
+            self.predicate, self.interp.sigma, mapped_letters, self.map_pattern(pattern)
+        )
+        self.init_aligned = self.judge.rows[0] == self.mapped.rows[0]
         #: per-run clause violations carried by the current path
         self.sticky: list[tuple[str, str]] = []
 
@@ -953,7 +948,7 @@ class _TreeWalker(_ScheduleTree):
     def account_node(self, totals: _WalkTotals, aligned: bool) -> None:
         totals.nodes += 1
         violations = self.sticky
-        c_ok = aligned or is_stutter(tuple(self.mapped_rows), tuple(self.judge.rows))
+        c_ok = aligned or is_stutter(tuple(self.mapped.rows), tuple(self.judge.rows))
         if not c_ok:
             violations = violations + [
                 (self.c_clause, "observable sequence is not a stutter expansion")
@@ -961,7 +956,7 @@ class _TreeWalker(_ScheduleTree):
         verdict = self.judge.classify()
         # satisfaction transfers along the mapping; a failing mapped run excuses
         if verdict == "fail":
-            if _verdict(self.predicate, tuple(self.mapped_rows), self.mapped_pattern) != "fail":
+            if self.mapped.classify() != "fail":
                 violations = violations + [
                     (
                         self.d_clause,
@@ -991,7 +986,7 @@ class _TreeWalker(_ScheduleTree):
         report = validate_run(run, self.alg, self.fd, ValidationMode.PREFIX_CONSISTENT)
         assert report.valid, f"engine produced an invalid run: {report.violations}"
         self.check_mapping(run, {clause for clause, _ in violations})
-        mapped = tuple(self.mapped_rows)
+        mapped = tuple(self.mapped.rows)
         slow_c = is_stutter(mapped, tuple(self.judge.rows))
         if aligned:
             assert slow_c, "aligned paths must stutter-embed"
@@ -1000,14 +995,17 @@ class _TreeWalker(_ScheduleTree):
         slow_verdict = _verdict(self.predicate, tuple(self.judge.rows), self.pattern)
         assert slow_verdict == verdict, f"{slow_verdict} != {verdict}"
         fast_d = any(clause == self.d_clause for clause, _ in violations)
-        mapped_fails = _verdict(self.predicate, mapped, self.mapped_pattern) == "fail"
-        assert fast_d == (slow_verdict == "fail" and not mapped_fails)
+        slow_mapped = _verdict(self.predicate, mapped, self.mapped.pattern)
+        fast_mapped = self.mapped.classify()
+        assert slow_mapped == fast_mapped, f"mapped run: {slow_mapped} != {fast_mapped}"
+        assert fast_d == (slow_verdict == "fail" and slow_mapped != "fail")
 
     def walk(self, totals: _WalkTotals) -> None:
         """Account the root once, then every window offset's subtree."""
         self.account_node(totals, self.init_aligned)
-        for window_start in range(self.horizon + 1):
-            self.expand(totals, window_start, self.init_aligned)
+        for offset in range(self.horizon + 1):
+            self.offset = offset
+            self.expand(totals, offset, self.init_aligned)
 
     def expand(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
         """Walk the children at time ``t`` into ``totals``, or credit them
@@ -1036,9 +1034,7 @@ class _TreeWalker(_ScheduleTree):
         totals.add(subtree)
 
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
-        judge = self.judge
-        rows = judge.rows
-        mapped_rows = self.mapped_rows
+        judge, mapped = self.judge, self.mapped
         sticky = self.sticky
         shown_of, mapped_of = self.v_tilde.of, self.interp.of
         dropped, step_violations = self.dropped, self.step_violations
@@ -1047,20 +1043,18 @@ class _TreeWalker(_ScheduleTree):
             judge.push(actor, shown_of(actor, step.post))
             kept = not dropped(step)
             if kept:
-                row = list(mapped_rows[-1])
-                row[actor] = mapped_of(actor, step.post)
-                mapped_rows.append(tuple(row))
+                mapped.push(actor, mapped_of(actor, step.post))
 
             step_viols = step_violations(step)
             sticky.extend(step_viols)
-            child_aligned = aligned and rows[-1] == mapped_rows[-1]
+            child_aligned = aligned and judge.rows[-1] == mapped.rows[-1]
             self.account_node(totals, child_aligned)
             self.expand(totals, t + 1, child_aligned)
 
             if step_viols:
                 del sticky[len(sticky) - len(step_viols):]
             if kept:
-                mapped_rows.pop()
+                mapped.pop()
             judge.pop()
 
 
@@ -1081,8 +1075,8 @@ class _SosWalker(_TreeWalker):
     def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         return history_in_p(history, mapped_pattern)
 
-    def start(self, *family) -> None:
-        super().start(*family)
+    def start(self, pattern: FailurePattern, history: History, init: tuple[State, ...]) -> None:
+        super().start(pattern, history, init)
         if not self.init_aligned:
             self.sticky.append(
                 (
@@ -1121,7 +1115,11 @@ class _SosWalker(_TreeWalker):
             tuple(self.states),
             transit_key,
             # the states fix the last row, and with it every later verdict
-            # of an unbroken sequence
+            # of an unbroken sequence.  The mapped judge's bit equals this
+            # one, since the memo serves only aligned paths: both sequences
+            # start at equal rows, a dropped step repeats the wrapper's last
+            # row (and _BREAKS[x, x] is false), and a kept step makes the
+            # same letter change in both.
             self.judge.broken[-1],
         )
 
@@ -1130,7 +1128,7 @@ class _SosWalker(_TreeWalker):
         actor = step.actor
         shown = self.judge.rows[-1][actor]
         # the actor's letter in the stripped run: its last kept state's
-        frozen = self.mapped_rows[-1][actor]
+        frozen = self.mapped.rows[-1][actor]
         if actor not in self.faulty:
             if shown != frozen:
                 out.append(
@@ -1166,7 +1164,7 @@ class _SosWalker(_TreeWalker):
             a_ok = False
         assert a_ok == ("sos-a-stripped-run-valid" not in fast_clauses)
         if base_run is not None:
-            assert interpret_run(base_run, self.interp) == tuple(self.mapped_rows)
+            assert interpret_run(base_run, self.interp) == tuple(self.mapped.rows)
 
         b_ok = True
         stripped_schedule = tuple(s for s in self.schedule if s.actor not in self.faulty)
@@ -1225,7 +1223,7 @@ class _DasWalker(_TreeWalker):
         mapped = das_run_mapping(run, time_shift=self.time_shift)
         structural = self.structural_violations(mapped, FDSpec.accurate_after(self.k))
         assert not structural, f"mapped run structurally invalid: {structural}"
-        assert interpret_run(mapped, self.interp) == tuple(self.mapped_rows)
+        assert interpret_run(mapped, self.interp) == tuple(self.mapped.rows)
 
 
 def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremReport:
@@ -1273,7 +1271,7 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
                     assert walker.membership(h, mapped_pattern) == verdict
             group = _WalkTotals()
             for init in inits:
-                walker.start(pattern, rep, init, mapped_pattern)
+                walker.start(pattern, rep, init)
                 walker.walk(group)
             totals.add(group, len(members))
             if not verdict.prefix_consistent:

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
-    StutterDepthExceeded,
     UncoveredState,
 )
 from .model import FailurePattern, Run, State, all_monotone_patterns, config_sequence
@@ -152,9 +151,7 @@ def _gap_is_componentwise_switch(
     return True
 
 
-def is_stutter(
-    w: ProblemSeq, w_prime: ProblemSeq, max_insertions: int | None = None
-) -> bool:
+def is_stutter(w: ProblemSeq, w_prime: ProblemSeq) -> bool:
     """True iff ``w_prime`` arises from ``w`` by repeated single-row insertion.
 
     Decided by dynamic programming over an exact structural characterization:
@@ -162,9 +159,7 @@ def is_stutter(
     image of the first original and after the image of the last original must
     copy that end row exactly; and within each interior gap every component's
     letters must move from the left endpoint's value to the right endpoint's
-    value with at most one switch.  ``max_insertions`` bounds how many rows
-    may be inserted in total; exceeding it raises
-    :class:`StutterDepthExceeded`.
+    value with at most one switch.
     """
     if w == w_prime:
         return True
@@ -172,10 +167,6 @@ def is_stutter(
         return False
     if any(len(row) != len(w[0]) for row in w + w_prime):
         raise AlphabetMismatch("sequences mix rows of different widths")
-    if max_insertions is not None and len(w_prime) - len(w) > max_insertions:
-        raise StutterDepthExceeded(
-            f"comparison needs {len(w_prime) - len(w)} insertions, bound is {max_insertions}"
-        )
     if w[0] != w_prime[0]:
         return False
     last_wp = len(w_prime) - 1

@@ -19,6 +19,9 @@ from fdlab.cli import main
 from fdlab.traces import canonical_json, run_to_doc
 
 ALG, _, _ = builtin_algorithm("flood-consensus-p", 2)
+#: a JSON number past Python's 4,300-digit integer conversion limit, which
+#: ``json.loads`` refuses with a plain ``ValueError``
+HUGE_NUMBER_DOC = '{"n": ' + "9" * 5000 + "}"
 
 
 @pytest.fixture()
@@ -92,6 +95,21 @@ class TestValidate:
         path.write_text("{not json")
         code = main(["validate", str(path), "--algorithm", "flood-consensus-p", "--fd", "P"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [pytest.param(HUGE_NUMBER_DOC.encode(), id="huge-number"),
+         pytest.param(b"\xff{}", id="not-utf-8"),
+         pytest.param(b"[" * 100_000, id="deeply-nested")],
+    )
+    def test_unreadable_document_is_a_usage_error(
+        self, content: bytes, tmp_path: Path, capsys
+    ) -> None:
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        code = main(["validate", str(path), "--algorithm", "flood-consensus-p", "--fd", "P"])
+        assert code == 2
+        assert "not a readable JSON document" in capsys.readouterr().err
 
     def test_malformed_field_is_a_usage_error(
         self, tmp_path: Path, run_doc: dict, capsys
@@ -187,6 +205,11 @@ class TestTransform:
         assert main(["transform", "das", str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["name"] == "strong-consensus-m+sos+das"
+
+    def test_huge_json_number_on_stdin_is_a_usage_error(self, capsys, monkeypatch) -> None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(HUGE_NUMBER_DOC))
+        assert main(["transform", "sos", "-"]) == 2
+        assert "standard input is not a readable JSON document" in capsys.readouterr().err
 
     def test_process_count_applies_to_builtins(self, capsys) -> None:
         assert main(["transform", "sos", "flood-consensus-p", "--n", "3"]) == 0

@@ -72,7 +72,7 @@ class TestBounds:
         assert bounds.resolved_cap() == DEFAULT_RUN_CAP
         monkeypatch.setenv(RUN_CAP_ENV_VAR, "123")
         assert bounds.resolved_cap() == 123
-        for malformed in ("abc", "", "-5", "1e6"):
+        for malformed in ("abc", "", "-5", "1e6", "9" * 5000, "\u0663"):
             monkeypatch.setenv(RUN_CAP_ENV_VAR, malformed)
             with pytest.raises(DomainMismatch, match=RUN_CAP_ENV_VAR):
                 bounds.resolved_cap()

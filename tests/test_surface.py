@@ -18,8 +18,7 @@ EXPORTS = {
     # errors
     "AlphabetMismatch", "BudgetExceeded", "DomainMismatch", "FaultyStepPresent",
     "FdlabError", "KOutOfRange", "MismatchedPreState", "MissingNoOpPrefix",
-    "NonPositiveTime", "NoSuchInTransitMessage", "NotSoSRun", "StutterDepthExceeded",
-    "UncoveredState",
+    "NonPositiveTime", "NoSuchInTransitMessage", "NotSoSRun", "UncoveredState",
     # harness
     "DEFAULT_RUN_CAP", "ClauseFailure", "EnumerationBounds", "ProbeReport",
     "SolvesReport", "TheoremReport", "all_monotone_patterns", "check_solves",
