@@ -342,7 +342,7 @@ def _perturbations(
         ]
         for (p, t) in cells
     }
-    for count in range(1, budget + 1):
+    for count in range(1, min(budget, len(cells)) + 1):
         for chosen in combinations(cells, count):
             for values in product(*(admissible[c] for c in chosen)):
                 rewrites = tuple(zip(chosen, values))

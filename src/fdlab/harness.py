@@ -17,10 +17,11 @@ and each run's verdict comes from the judge it shares with the previous run,
 which holds the run's observable rows, so no run is re-interpreted from its
 initial states.  ``verify_sos`` / ``verify_das`` check that the stall and
 delay wrappers preserve solvability, clause by clause on every run.  All of
-them expand the same schedule trees, one tree per call re-rooted at each
-family.  Each preservation claim is one walker class that states the whole
-claim and adds incremental per-step checks; one walker serves a call, and
-``_verify_claim`` takes it over patterns, history groups and initial states.
+them expand the same schedule trees, one tree per call that enters each
+pattern once and is re-rooted at each of its families.  Each preservation
+claim is one walker class that states the whole claim and adds incremental
+per-step checks; one walker serves a call, and ``_verify_claim`` takes it
+over patterns, history groups and initial states.
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -31,7 +32,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from itertools import product
-from math import prod
+from math import comb, prod
 from typing import Iterator
 
 from .detectors import (
@@ -194,11 +195,9 @@ def estimate_run_families(bounds: EnumerationBounds, inits_count: int) -> int:
     )
     cells = bounds.n * (bounds.horizon + 1)
     alternatives = 2**bounds.n - 1
-    hist_bound = 1
-    term = 1
-    for r in range(1, bounds.history_budget + 1):
-        term = term * (cells - r + 1) // r * alternatives
-        hist_bound += term
+    # no variant rewrites more cells than there are
+    rewritten = range(min(bounds.history_budget, cells) + 1)
+    hist_bound = sum(comb(cells, r) * alternatives**r for r in rewritten)
     return patterns_count * hist_bound * inits_count
 
 
@@ -242,8 +241,10 @@ def _run_space(
         raise DomainMismatch("the bounds admit no crash pattern or no initial states")
     cap = bounds.resolved_cap()
     if estimate > cap:
+        # Python refuses to print an int of more than 4,300 digits
+        shown, shown_cap = (c if c < 10**18 else "over 10**18" for c in (estimate, cap))
         raise BudgetExceeded(
-            f"estimated {estimate} run families exceed the cap of {cap} "
+            f"estimated {shown} run families exceed the cap of {shown_cap} "
             f"(raise {RUN_CAP_ENV_VAR} or pass run_cap to override)"
         )
     patterns = (
@@ -277,11 +278,11 @@ class _ScheduleTree:
     """The schedule trees of one call, one (pattern, history, initial states)
     family at a time.
 
-    ``start`` roots the tree at a family.  The tree holds the current path:
-    per-process states, the messages in transit (in send order) and the
-    schedule, whose steps sit at consecutive times from the window
-    ``offset`` that the walk sets.  ``delta_cache`` memoizes
-    ``alg.transition`` for every family of the call.
+    ``enter`` sets the pattern of the families that ``start`` then roots the
+    tree at.  The tree holds the current path: per-process states, the
+    messages in transit (in send order) and the schedule, whose steps sit at
+    consecutive times from the window ``offset`` that the walk sets.
+    ``delta_cache`` memoizes ``alg.transition`` for every family of the call.
     """
 
     def __init__(self, alg: Algorithm, max_steps: int):
@@ -290,12 +291,15 @@ class _ScheduleTree:
         self.n = alg.n
         self.delta_cache: dict = {}
 
-    def start(self, pattern: FailurePattern, history: History, init: tuple[State, ...]) -> None:
-        """Root the tree at a family, with the empty path."""
+    def enter(self, pattern: FailurePattern) -> None:
+        """Enter a pattern, whose families ``start`` roots until the next one."""
         self.pattern = pattern
+        self.horizon = pattern.horizon
+
+    def start(self, history: History, init: tuple[State, ...]) -> None:
+        """Root the tree at a family of the entered pattern, with the empty path."""
         self.history = history
         self.init = init
-        self.horizon = pattern.horizon
         self.states: list[State] = list(init)
         self.transit: list[Message] = []
         self.schedule: list[Step] = []
@@ -425,10 +429,11 @@ def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Ite
     patterns, inits, _ = _run_space(alg, bounds)
     tree = _ScheduleTree(alg, bounds.max_steps)
     for pattern in patterns:
+        tree.enter(pattern)
         owed = pattern.correct() if strict else frozenset()
         for history in perturbed_histories(fd, pattern, bounds.history_budget):
             for init in inits:
-                tree.start(pattern, history, init)
+                tree.start(history, init)
                 yield from tree.runs(owed, bounds.fairness_window)
 
 
@@ -475,17 +480,21 @@ class _Judge:
         return _verdict(self.predicate, tuple(self.rows), self.pattern)
 
 
+def _monitored(predicate: ProblemPredicate, sigma: frozenset[str]) -> bool:
+    """Is it an agreement predicate over an alphabet of agreement letters?"""
+    return (
+        type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
+        and sigma <= AGREEMENT_ALPHABET
+    )
+
+
 def _judge(
     predicate: ProblemPredicate, sigma: frozenset[str], letters: list[str], pattern: FailurePattern
 ) -> _Judge:
     """The judge of a sequence that starts at ``letters`` and grows by
-    ``push``: ``_AgreementMonitor`` for the two agreement predicates over an
-    alphabet of agreement letters, the whole-sequence ``_Judge`` for anything
-    else."""
-    if (
-        type(predicate) in (ConsensusPredicate, StrongConsensusPredicate)
-        and sigma <= AGREEMENT_ALPHABET
-    ):
+    ``push``: ``_AgreementMonitor`` where ``_monitored`` holds, the
+    whole-sequence ``_Judge`` for anything else."""
+    if _monitored(predicate, sigma):
         return _AgreementMonitor(letters, predicate, pattern)
     return _Judge(letters, predicate, pattern)
 
@@ -863,8 +872,9 @@ class _TreeWalker(_ScheduleTree):
     ``is_stutter`` runs only off such paths.  ``examples`` (for each of the
     first ``MAX_RECORDED_FAILURES`` (clause, detail) pairs, the document of
     the first run seen, or ``None`` for a membership clause) and ``memo``
-    (each walked subtree's ``_WalkTotals``, their tallies interned) last for
-    the whole call.
+    (each walked subtree's ``_WalkTotals``, their tallies interned; ``None``
+    for a ``thorough`` call, or a judge other than the agreement monitor,
+    whose broken bit the keys hold) last for the whole call.
     """
 
     theorem: str
@@ -894,19 +904,22 @@ class _TreeWalker(_ScheduleTree):
         self.predicate = predicate
         self.thorough = thorough
         self.examples: dict[tuple[str, str], dict | None] = {}
-        self.memo: dict[tuple, _WalkTotals] = {}
+        monitored = _monitored(predicate, derived_interp.sigma)
+        self.memo: dict[tuple, _WalkTotals] | None = {} if monitored and not thorough else None
         self.tallies: dict[tuple, dict[tuple[str, str], int]] = {}
 
-    def start(self, pattern: FailurePattern, history: History, init: tuple[State, ...]) -> None:
-        """Root the walk at a family, with one judge per observable sequence."""
-        super().start(pattern, history, init)
+    def enter(self, pattern: FailurePattern) -> None:
+        super().enter(pattern)
         self.faulty = pattern.faulty()
+        self.mapped_pattern = self.map_pattern(pattern)
+
+    def start(self, history: History, init: tuple[State, ...]) -> None:
+        """Root the walk at a family, with one judge per observable sequence."""
+        super().start(history, init)
         letters = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
-        self.judge = _judge(self.predicate, self.v_tilde.sigma, letters, pattern)
+        self.judge = _judge(self.predicate, self.v_tilde.sigma, letters, self.pattern)
         mapped_letters = [self.interp.of(i, self.mapped_state(s)) for i, s in enumerate(init)]
-        self.mapped = _judge(
-            self.predicate, self.interp.sigma, mapped_letters, self.map_pattern(pattern)
-        )
+        self.mapped = _judge(self.predicate, self.interp.sigma, mapped_letters, self.mapped_pattern)
         self.init_aligned = self.judge.rows[0] == self.mapped.rows[0]
         #: per-run clause violations carried by the current path
         self.sticky: list[tuple[str, str]] = []
@@ -1075,8 +1088,12 @@ class _SosWalker(_TreeWalker):
     def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         return history_in_p(history, mapped_pattern)
 
-    def start(self, pattern: FailurePattern, history: History, init: tuple[State, ...]) -> None:
-        super().start(pattern, history, init)
+    def enter(self, pattern: FailurePattern) -> None:
+        super().enter(pattern)
+        self.live_at = tuple(pattern.live_at(t) for t in range(self.horizon + 1))
+
+    def start(self, history: History, init: tuple[State, ...]) -> None:
+        super().start(history, init)
         if not self.init_aligned:
             self.sticky.append(
                 (
@@ -1084,25 +1101,12 @@ class _SosWalker(_TreeWalker):
                     "derived interpretation disagrees on an initial state",
                 )
             )
-        self.live_at = tuple(self.pattern.live_at(t) for t in range(self.horizon + 1))
-        # A subtree's outcome depends on the history only through the cells
-        # live processes read, so the memo is sound only while those all hold
-        # the horizon-faulty set, as the memo key assumes.
-        self.memoize = (
-            not self.thorough
-            and isinstance(self.judge, _AgreementMonitor)
-            and self.init_aligned
-            and all(
-                self.history.at(p, t) == self.faulty
-                for t in range(self.horizon + 1)
-                for p in self.live_at[t]
-            )
-        )
 
     def memo_view(self, aligned: bool) -> dict | None:
-        return self.memo if self.memoize and aligned and not self.sticky else None
+        return self.memo if aligned and not self.sticky else None
 
     def memo_key(self, t: int, remaining: int) -> tuple:
+        # no history: strict M fixes every cell a live process reads to self.faulty
         live_suffix = tuple(self.live_at[u] for u in range(t, t + remaining))
         transit_key = tuple(
             sorted((m.sender, m.receiver, m.payload) for m in self.transit)
@@ -1262,16 +1266,16 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
     checked_histories = 0
 
     for pattern in patterns:
-        mapped_pattern = walker.map_pattern(pattern)
+        walker.enter(pattern)
         for rep, members in history_groups(walker.fd, pattern, bounds.history_budget):
             checked_histories += len(members)
-            verdict = walker.membership(rep, mapped_pattern)
+            verdict = walker.membership(rep, walker.mapped_pattern)
             if walker.thorough:
                 for h in members:
-                    assert walker.membership(h, mapped_pattern) == verdict
+                    assert walker.membership(h, walker.mapped_pattern) == verdict
             group = _WalkTotals()
             for init in inits:
-                walker.start(pattern, rep, init)
+                walker.start(rep, init)
                 walker.walk(group)
             totals.add(group, len(members))
             if not verdict.prefix_consistent:

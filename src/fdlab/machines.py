@@ -63,9 +63,6 @@ class CollectThenDecide(Algorithm):
             raise DomainMismatch("need at least one process")
         self.n = n
         self.name = name
-        self._peers = tuple(
-            tuple(j for j in range(n) if j != i) for i in range(n)
-        )
 
     def decide(
         self, i: int, known: Mapping[int, int], suspects: frozenset[int]
@@ -91,10 +88,9 @@ class CollectThenDecide(Algorithm):
         after = CollectState(
             state.value, tuple(sorted(known.items())), state.sends_done, state.decision
         )
-        peers = self._peers[i]
-        if state.sends_done < len(peers):
-            target = peers[state.sends_done]
-            return (after._replace(sends_done=state.sends_done + 1), (target, str(state.value)))
+        k = state.sends_done
+        if k < self.n - 1:  # send to the k-th peer in id order, skipping i itself
+            return (after._replace(sends_done=k + 1), (k + (k >= i), str(state.value)))
         if state.decision is None and all(
             p in known for p in range(self.n) if p not in suspects
         ):

@@ -351,6 +351,29 @@ class TestVerify:
         assert main([*argv, "--n", "7"]) == 3
         assert "exceed the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify", "sos", "flood-consensus-p", "--n", "5000"], id="n"),
+            pytest.param(
+                ["verify", "sos", "flood-consensus-p", "--n", "3", "--horizon", str(10**1500)],
+                id="sos-horizon",
+            ),
+            pytest.param(
+                ["verify", "das", "flood-consensus-p", "--n", "2", "--horizon", str(10**2500)],
+                id="das-horizon",
+            ),
+        ],
+    )
+    def test_estimate_too_long_to_print_still_exits_three(
+        self, argv: list[str], capsys, monkeypatch
+    ) -> None:
+        """Past Python's 4,300-digit limit an estimate cannot be printed;
+        the refusal is still the budget's exit code, without a traceback."""
+        monkeypatch.delenv("FDLAB_RUN_CAP", raising=False)
+        assert main(argv) == 3
+        assert "exceed the cap of" in capsys.readouterr().err
+
     def test_malformed_run_cap_is_a_usage_error(self, capsys, monkeypatch) -> None:
         monkeypatch.setenv("FDLAB_RUN_CAP", "abc")
         code = main(["verify", "sos", "flood-consensus-p", "--n", "2", "--horizon", "2"])

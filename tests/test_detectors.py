@@ -257,6 +257,14 @@ class TestPerturbedHistories:
         f = FailurePattern.from_crash_times(2, 2, {0: 1})
         assert perturbed_histories(spec, f, 2) == perturbed_histories(spec, f, 2)
 
+    def test_budget_past_the_cell_count_adds_nothing(self) -> None:
+        """No variant rewrites more cells than the history has (2 at n=1,
+        h=1), so a huge budget lists what budget 2 lists, without looping
+        over the budget."""
+        for f in all_monotone_patterns(1, 1):
+            for spec in (FDSpec.always_accurate(), FDSpec.foresight(strict_live=False)):
+                assert perturbed_histories(spec, f, 10**30) == perturbed_histories(spec, f, 2)
+
     def test_negative_budget_rejected(self) -> None:
         f = FailurePattern.from_crash_times(2, 2, {})
         with pytest.raises(DomainMismatch):

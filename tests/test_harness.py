@@ -25,7 +25,7 @@ from fdlab import (
     verify_sos,
 )
 from fdlab import harness
-from fdlab.detectors import perturbed_histories
+from fdlab.detectors import canonical_history, perturbed_histories
 from fdlab.errors import BudgetExceeded, DomainMismatch, KOutOfRange, UncoveredState
 from fdlab.harness import (
     RUN_CAP_ENV_VAR,
@@ -111,6 +111,9 @@ class TestUniverses:
         b1 = EnumerationBounds(n=2, horizon=3, max_steps=4, history_budget=1)
         cells, alternatives = 2 * 4, 2**2 - 1
         assert estimate_run_families(b1, inits_count=4) == 25 * (1 + cells * alternatives) * 4
+        # no variant rewrites more than the 8 cells, so a larger budget adds nothing
+        huge, b8 = (replace(b0, history_budget=b) for b in (10**30, 8))
+        assert estimate_run_families(huge, 4) == estimate_run_families(b8, 4)
 
     def test_estimate_dominates_reality(self) -> None:
         """The a-priori bound is an upper bound on actual families."""
@@ -195,6 +198,24 @@ class TestHistoryReferences:
                         assert walker.membership(h, mapped) == verdict
                     members_seen += len(members)
         assert members_seen > 0
+
+    @pytest.mark.parametrize("n, horizon, budget", HISTORY_GRID)
+    def test_strict_foresight_leaves_one_group_per_pattern(
+        self, n: int, horizon: int, budget: int
+    ) -> None:
+        """The stall memo's key holds no history.  That is sound because
+        strict ``M`` admits one value at every cell a live process reads, the
+        horizon-faulty set: every pattern has one history group, represented
+        by the canonical history."""
+        fd = harness._SosWalker.fd
+        for pattern in all_monotone_patterns(n, horizon):
+            for b in range(budget + 1):
+                [(rep, members)] = history_groups(fd, pattern, b)
+                assert rep == canonical_history(fd, pattern)
+                for h in members:
+                    for t in range(horizon + 1):
+                        for p in pattern.live_at(t):
+                            assert h.at(p, t) == pattern.faulty()
 
 
 class TestEnumerateRuns:
@@ -286,6 +307,17 @@ class TestEnumerateRuns:
         bounds = EnumerationBounds(n=2, horizon=3, max_steps=3, run_cap=10)
         with pytest.raises(BudgetExceeded, match="exceed the cap of 10"):
             next(enumerate_runs(ALG, FD, bounds))
+
+    def test_cap_refuses_an_estimate_too_long_to_print(self) -> None:
+        """An estimate or a cap past Python's 4,300-digit limit for printing
+        an int is refused like any other, not with a ``ValueError``."""
+        alg, interp, predicate = builtin_algorithm("flood-consensus-p", 3)
+        for bounds in (
+            EnumerationBounds(n=3, horizon=10**1500, max_steps=1),
+            EnumerationBounds(n=3, horizon=10**2000, max_steps=1, run_cap=10**4400),
+        ):
+            with pytest.raises(BudgetExceeded, match="exceed the cap of"):
+                verify_sos(alg, interp, predicate, bounds)
 
     def test_deterministic_order(self) -> None:
         first = list(enumerate_runs(ALG, FD, self.BOUNDS))
