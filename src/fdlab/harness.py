@@ -183,22 +183,30 @@ def init_combinations(alg: Algorithm) -> tuple[tuple[State, ...], ...]:
     return tuple(product(*(alg.initial_states(i) for i in range(alg.n))))
 
 
-def estimate_run_families(bounds: EnumerationBounds, inits_count: int) -> int:
+def estimate_run_families(
+    bounds: EnumerationBounds, inits_count: int, cap: int | None = None
+) -> int:
     """Upper bound on |patterns| x |histories per pattern| x |initial choices|.
 
     Computed without materializing anything, so a hopeless request is refused
     before any work happens.  Schedules inside a family are enumerated
-    exhaustively and only counted after the fact.
+    exhaustively and only counted after the fact.  With a ``cap``, the sum
+    over history rewrites stops at the first partial estimate above it, so
+    an over-cap answer may be a lower bound of the full estimate.
     """
     patterns_count = (
         len(bounds.patterns) if bounds.patterns is not None else (bounds.horizon + 2) ** bounds.n
     )
     cells = bounds.n * (bounds.horizon + 1)
     alternatives = 2**bounds.n - 1
+    estimate = 0
     # no variant rewrites more cells than there are
-    rewritten = range(min(bounds.history_budget, cells) + 1)
-    hist_bound = sum(comb(cells, r) * alternatives**r for r in rewritten)
-    return patterns_count * hist_bound * inits_count
+    for r in range(min(bounds.history_budget, cells) + 1):
+        estimate += patterns_count * inits_count * comb(cells, r) * alternatives**r
+        # the first term is patterns x inits; when it is 0, so is every term
+        if not estimate or cap is not None and estimate > cap:
+            break
+    return estimate
 
 
 def _run_space(
@@ -235,14 +243,15 @@ def _run_space(
         if bounds.inits is not None
         else prod(len(alg.initial_states(p)) for p in range(alg.n))
     )
-    estimate = estimate_run_families(bounds, inits_count)
+    cap = bounds.resolved_cap()
+    estimate = estimate_run_families(bounds, inits_count, cap)
     # a product of counts, zero exactly when there is no pattern or no init
     if not estimate:
         raise DomainMismatch("the bounds admit no crash pattern or no initial states")
-    cap = bounds.resolved_cap()
     if estimate > cap:
         # Python refuses to print an int of more than 4,300 digits
-        shown, shown_cap = (c if c < 10**18 else "over 10**18" for c in (estimate, cap))
+        shown = f"at least {estimate}" if estimate < 10**18 else "over 10**18"
+        shown_cap = cap if cap < 10**18 else "over 10**18"
         raise BudgetExceeded(
             f"estimated {shown} run families exceed the cap of {shown_cap} "
             f"(raise {RUN_CAP_ENV_VAR} or pass run_cap to override)"
@@ -282,14 +291,18 @@ class _ScheduleTree:
     tree at.  The tree holds the current path: per-process states, the
     messages in transit (in send order) and the schedule, whose steps sit at
     consecutive times from the window ``offset`` that the walk sets.
-    ``delta_cache`` memoizes ``alg.transition`` for every family of the call.
+    ``steps``, the call's step table, maps each edge ``(actor, pre,
+    received, suspects, depth)`` to ``None`` (no step enabled) or to the
+    ``Step`` taken there with its ``step_facts``; a sent message's tag is
+    ``depth * n + actor``, so the key fixes the step.  Each ``Step`` and
+    ``Message`` is built on its edge's first visit and shared after that.
     """
 
     def __init__(self, alg: Algorithm, max_steps: int):
         self.alg = alg
         self.max_steps = max_steps
         self.n = alg.n
-        self.delta_cache: dict = {}
+        self.steps: dict[tuple, tuple[Step, object] | None] = {}
 
     def enter(self, pattern: FailurePattern) -> None:
         """Enter a pattern, whose families ``start`` roots until the next one."""
@@ -310,8 +323,13 @@ class _ScheduleTree:
         times = tuple(range(self.offset, self.offset + len(self.schedule)))
         return Run(self.pattern, self.history, self.init, tuple(self.schedule), times)
 
-    def children(self, t: int) -> Iterator[Step]:
-        """Apply each step enabled at time ``t``, yield it, then undo it.
+    def step_facts(self, step: Step) -> object:
+        """What a walker needs of ``step`` on every visit, computed once."""
+        return None
+
+    def children(self, t: int) -> Iterator[tuple[Step, object]]:
+        """Apply each step enabled at time ``t``, yield it with its facts,
+        then undo it.
 
         Nothing is enabled once the path holds ``max_steps`` steps or ``t``
         is past the horizon.  Order: by actor, then receiving nothing before
@@ -323,33 +341,36 @@ class _ScheduleTree:
         crashed = self.pattern.crashed_at(t)
         states = self.states
         transit = self.transit
-        cache = self.delta_cache
+        table = self.steps
         for actor in range(self.n):
             if actor in crashed:
                 continue
             suspects = self.history.at(actor, t)
             pre = states[actor]
             options: list[Message | None] = [None]
-            options.extend(m for m in transit if m.receiver == actor)
+            options += [m for m in transit if m.receiver == actor]
             for received in options:
-                transmission = None if received is None else received.transmission()
-                key = (actor, pre, transmission, suspects)
+                key = (actor, pre, received, suspects, depth)
                 try:
-                    result = cache[key]
+                    edge = table[key]
                 except KeyError:
-                    result = cache[key] = self.alg.transition(
-                        actor, pre, transmission, suspects
-                    )
-                if result is None:
+                    transmission = None if received is None else received.transmission()
+                    edge = result = self.alg.transition(actor, pre, transmission, suspects)
+                    if result is not None:
+                        post, dispatch = result
+                        sent = (
+                            None
+                            if dispatch is None
+                            else Message(actor, dispatch[0], dispatch[1], depth * self.n + actor)
+                        )
+                        step = Step(actor, pre, received, suspects, post, sent)
+                        edge = step, self.step_facts(step)
+                    table[key] = edge
+                if edge is None:
                     continue
-                post, dispatch = result
-                sent = (
-                    None
-                    if dispatch is None
-                    else Message(actor, dispatch[0], dispatch[1], depth * self.n + actor)
-                )
-                step = Step(actor, pre, received, suspects, post, sent)
-                states[actor] = post
+                step = edge[0]
+                sent = step.sent
+                states[actor] = step.post
                 removed_at = 0
                 if received is not None:
                     removed_at = transit.index(received)
@@ -357,7 +378,7 @@ class _ScheduleTree:
                 if sent is not None:
                     transit.append(sent)
                 self.schedule.append(step)
-                yield step
+                yield edge
                 self.schedule.pop()
                 if sent is not None:
                     transit.pop()
@@ -394,7 +415,7 @@ class _ScheduleTree:
     def _below(
         self, t: int, window: int, owed: frozenset[int], last: list[int], debt: int
     ) -> Iterator[Run]:
-        for step in self.children(t):
+        for step, _ in self.children(t):
             actor = step.actor
             child_debt = debt
             if step.received is not None and actor in owed:
@@ -512,10 +533,12 @@ def _fair_verdicts(
     Consecutive runs share a schedule prefix, so the judge of the previous
     run is kept: per run, only the steps after the longest prefix of
     ``Step`` objects identical to the previous run's are popped and pushed,
-    each as its actor's new letter.  The judge starts over
-    whenever the (pattern, history, initial states) family changes.  A scan
-    that ends without a fair run raises ``DomainMismatch``: a check over no
-    run must not report success.
+    each as its actor's new letter.  Steps are interned per call, so an
+    identical step may come from another path; it is an equal step, which
+    pushes the same letter, and that is all the judge needs.  The judge
+    starts over whenever the (pattern, history, initial states) family
+    changes.  A scan that ends without a fair run raises ``DomainMismatch``:
+    a check over no run must not report success.
     """
     interp.check_initial_cover(alg.initial_states)
     of = interp.of
@@ -907,6 +930,8 @@ class _TreeWalker(_ScheduleTree):
         monitored = _monitored(predicate, derived_interp.sigma)
         self.memo: dict[tuple, _WalkTotals] | None = {} if monitored and not thorough else None
         self.tallies: dict[tuple, dict[tuple[str, str], int]] = {}
+        #: one (sender, receiver, payload) triple per message, for memo keys
+        self.triples: dict[Message, tuple[int, int, str]] = {}
 
     def enter(self, pattern: FailurePattern) -> None:
         super().enter(pattern)
@@ -936,8 +961,15 @@ class _TreeWalker(_ScheduleTree):
         return []
 
     def dropped(self, step: Step) -> bool:
-        """Does the run mapping drop this step?"""
+        """Does the run mapping drop this step?  Read from the step alone,
+        because the step table serves every pattern of the call."""
         raise NotImplementedError
+
+    def step_facts(self, step: Step) -> tuple[str, str | None]:
+        """The step's letter in the wrapper run, and in the mapped run or
+        ``None`` when the mapping drops it."""
+        shown = self.v_tilde.of(step.actor, step.post)
+        return shown, None if self.dropped(step) else self.interp.of(step.actor, step.post)
 
     def memo_view(self, aligned: bool) -> dict | None:
         return None
@@ -1049,14 +1081,12 @@ class _TreeWalker(_ScheduleTree):
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
         judge, mapped = self.judge, self.mapped
         sticky = self.sticky
-        shown_of, mapped_of = self.v_tilde.of, self.interp.of
-        dropped, step_violations = self.dropped, self.step_violations
-        for step in self.children(t):
+        step_violations = self.step_violations
+        for step, (shown, mapped_letter) in self.children(t):
             actor = step.actor
-            judge.push(actor, shown_of(actor, step.post))
-            kept = not dropped(step)
-            if kept:
-                mapped.push(actor, mapped_of(actor, step.post))
+            judge.push(actor, shown)
+            if mapped_letter is not None:
+                mapped.push(actor, mapped_letter)
 
             step_viols = step_violations(step)
             sticky.extend(step_viols)
@@ -1066,7 +1096,7 @@ class _TreeWalker(_ScheduleTree):
 
             if step_viols:
                 del sticky[len(sticky) - len(step_viols):]
-            if kept:
+            if mapped_letter is not None:
                 mapped.pop()
             judge.pop()
 
@@ -1088,10 +1118,6 @@ class _SosWalker(_TreeWalker):
     def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         return history_in_p(history, mapped_pattern)
 
-    def enter(self, pattern: FailurePattern) -> None:
-        super().enter(pattern)
-        self.live_at = tuple(pattern.live_at(t) for t in range(self.horizon + 1))
-
     def start(self, history: History, init: tuple[State, ...]) -> None:
         super().start(history, init)
         if not self.init_aligned:
@@ -1107,14 +1133,16 @@ class _SosWalker(_TreeWalker):
 
     def memo_key(self, t: int, remaining: int) -> tuple:
         # no history: strict M fixes every cell a live process reads to self.faulty
-        live_suffix = tuple(self.live_at[u] for u in range(t, t + remaining))
+        # the crashed sets of the remaining window fix its live sets
+        crashed_suffix = self.pattern.crashed[t : t + remaining]
+        triples = self.triples
         transit_key = tuple(
-            sorted((m.sender, m.receiver, m.payload) for m in self.transit)
+            sorted(triples.get(m) or triples.setdefault(m, m[:3]) for m in self.transit)
         )
         assert isinstance(self.judge, _AgreementMonitor)
         return (
             remaining,
-            live_suffix,
+            crashed_suffix,
             self.faulty,
             tuple(self.states),
             transit_key,
@@ -1157,7 +1185,8 @@ class _SosWalker(_TreeWalker):
         return out
 
     def dropped(self, step: Step) -> bool:
-        return step.actor in self.faulty
+        # strict M tells a live actor exactly the faulty processes
+        return step.actor in step.suspects
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         base_run = None

@@ -294,6 +294,16 @@ class TestVerify:
         assert code == 3
         assert "exceed the cap of 10" in capsys.readouterr().err
 
+    def test_long_horizon_with_a_large_budget_exits_three(self, capsys, monkeypatch) -> None:
+        """The refusal comes before the history sum grows past the cap."""
+        monkeypatch.delenv("FDLAB_RUN_CAP", raising=False)
+        code = main(
+            ["verify", "sos", "flood-consensus-p", "--horizon", "100000",
+             "--history-budget", "100000"]
+        )
+        assert code == 3
+        assert "exceed the cap of 1000000" in capsys.readouterr().err
+
     def test_fairness_window_is_a_usage_error(self, capsys) -> None:
         """The claims walk every prefix-consistent run; only ``probe`` takes a
         fairness window."""

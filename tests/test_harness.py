@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from itertools import product
 
@@ -34,6 +35,7 @@ from fdlab.harness import (
     history_groups,
     init_combinations,
 )
+from fdlab.model import Message, Step
 from fdlab.traces import canonical_json, run_from_doc
 from fdlab.transforms import DelayState, StallState, derive_interpretation_sos
 
@@ -123,6 +125,16 @@ class TestUniverses:
             for f in all_monotone_patterns(2, 2)
         )
         assert actual <= estimate_run_families(bounds, inits_count=4)
+
+    def test_capped_estimate_is_the_estimate_within_the_cap(self) -> None:
+        """A cap changes no estimate within it, and over it the answer is
+        still over it."""
+        for n, horizon, budget, inits in product((1, 2, 3), (0, 2, 5), (0, 1, 3, 40), (1, 4)):
+            bounds = EnumerationBounds(n=n, horizon=horizon, max_steps=1, history_budget=budget)
+            full = estimate_run_families(bounds, inits)
+            for cap in (0, 1, 100, 10_000, full - 1, full, full + 1):
+                capped = estimate_run_families(bounds, inits, cap)
+                assert capped == full if full <= cap else cap < capped <= full
 
 
 class TestHistoryGroups:
@@ -319,6 +331,55 @@ class TestEnumerateRuns:
             with pytest.raises(BudgetExceeded, match="exceed the cap of"):
                 verify_sos(alg, interp, predicate, bounds)
 
+    def test_cap_refuses_a_long_horizon_with_a_large_budget(self) -> None:
+        """The history sum stops once the estimate is over the cap; summed
+        in full, its 100,001 bignum terms take longer than 20 s."""
+        bounds = EnumerationBounds(n=2, horizon=100_000, max_steps=1, history_budget=100_000)
+        with pytest.raises(BudgetExceeded, match="exceed the cap of 1000000"):
+            verify_sos(ALG, INTERP, PREDICATE, bounds)
+        with pytest.raises(BudgetExceeded, match="exceed the cap of 1000000"):
+            next(enumerate_runs(ALG, FD, bounds))
+
+    def test_runs_equal_the_pinned_fingerprint(self) -> None:
+        """Every run's pattern, history, initial states, schedule and times,
+        in enumeration order, hash to a pinned value: sharing steps between
+        families and patterns must change no run and no order."""
+        digest = hashlib.sha256()
+        windows = (
+            (ValidationMode.PREFIX_CONSISTENT, None),
+            (ValidationMode.STRICT_FAIRNESS, None),
+            (ValidationMode.STRICT_FAIRNESS, 1),
+        )
+        count = 0
+        for (n, horizon, max_steps, budget), fd, (mode, window) in product(
+            ((1, 2, 2, 0), (2, 2, 3, 1), (2, 3, 4, 0), (3, 2, 3, 0)),
+            (FDSpec.always_accurate(), FDSpec.foresight(), FDSpec.accurate_after(1)),
+            windows,
+        ):
+            alg, _, _ = builtin_algorithm("flood-consensus-p", n)
+            bounds = EnumerationBounds(
+                n, horizon, max_steps, budget, mode=mode, fairness_window=window
+            )
+            name = alg.state_str
+            for run in enumerate_runs(alg, fd, bounds):
+                count += 1
+                schedule = [
+                    (step.actor, name(step.pre), step.received and tuple(step.received),
+                     sorted(step.suspects), name(step.post), step.sent and tuple(step.sent))
+                    for step in run.schedule
+                ]
+                digest.update(repr((
+                    [sorted(cell) for cell in run.pattern.crashed],
+                    [[sorted(cell) for cell in row] for row in run.history.cells],
+                    [name(q) for q in run.init],
+                    schedule,
+                    run.times,
+                )).encode())
+        assert count == 95_340
+        assert digest.hexdigest() == (
+            "2ff00fddeb4a91c264e7239f88f1340d91ab867f526df1eb9bc62035037bf8bf"
+        )
+
     def test_deterministic_order(self) -> None:
         first = list(enumerate_runs(ALG, FD, self.BOUNDS))
         second = list(enumerate_runs(ALG, FD, self.BOUNDS))
@@ -351,6 +412,90 @@ class TestEnumerateRuns:
                 assert strict_runs == [
                     run for run in lax_runs if validate_run(run, alg, FD, mode, window).valid
                 ]
+
+
+def _recorded(monkeypatch: pytest.MonkeyPatch) -> list[harness._ScheduleTree]:
+    """The schedule trees (walkers included) that later calls build."""
+    trees: list[harness._ScheduleTree] = []
+    init = harness._ScheduleTree.__init__
+
+    def record(tree, *args) -> None:
+        init(tree, *args)
+        trees.append(tree)
+
+    monkeypatch.setattr(harness._ScheduleTree, "__init__", record)
+    return trees
+
+
+class TestStepTable:
+    """One call builds each step once: the tree's step table maps each edge
+    ``(actor, pre, received, suspects, depth)`` to the step taken there."""
+
+    BOUNDS = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=1)
+
+    def _calls(self) -> list:
+        alg, interp, predicate = builtin_algorithm("flood-consensus-p", 2)
+        return [
+            lambda: list(enumerate_runs(alg, FD, self.BOUNDS)),
+            lambda: verify_sos(alg, interp, predicate, self.BOUNDS),
+            lambda: verify_das(alg, interp, predicate, 1, self.BOUNDS),
+        ]
+
+    def test_each_step_is_the_transition_of_its_edge(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Every entry equals the step rebuilt from ``alg.transition``, with
+        the sent message tagged ``depth * n + actor``, and a walker's facts
+        are the step's letter and its mapped letter, ``None`` when dropped."""
+        trees = _recorded(monkeypatch)
+        for call in self._calls():
+            call()
+        dropped = kept = 0
+        for tree in trees:
+            assert tree.steps
+            for (actor, pre, received, suspects, depth), edge in tree.steps.items():
+                heard = None if received is None else received.transmission()
+                result = tree.alg.transition(actor, pre, heard, suspects)
+                if result is None:
+                    assert edge is None
+                    continue
+                post, dispatch = result
+                sent = (
+                    None
+                    if dispatch is None
+                    else Message(actor, dispatch[0], dispatch[1], depth * tree.n + actor)
+                )
+                step, facts = edge
+                assert step == Step(actor, pre, received, suspects, post, sent)
+                if not isinstance(tree, harness._TreeWalker):
+                    assert facts is None
+                    continue
+                shown, mapped = facts
+                assert shown == tree.v_tilde.of(actor, post)
+                if mapped is None:
+                    dropped += 1
+                else:
+                    kept += 1
+                    assert mapped == tree.interp.of(actor, post)
+        assert len(trees) == 3
+        assert dropped and kept
+
+    def test_equal_edges_share_one_step_across_families_and_patterns(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        trees = _recorded(monkeypatch)
+        alg, _, _ = builtin_algorithm("flood-consensus-p", 2)
+        seen: dict[tuple, tuple[Step, set]] = {}
+        for run in enumerate_runs(alg, FD, self.BOUNDS):
+            for depth, step in enumerate(run.schedule):
+                key = (step.actor, step.pre, step.received, step.suspects, depth)
+                first, families = seen.setdefault(key, (step, set()))
+                assert first is step
+                families.add((run.pattern, run.history, run.init))
+        (tree,) = trees
+        assert all(tree.steps[key][0] is step for key, (step, _) in seen.items())
+        assert len(seen) < sum(len(families) for _, families in seen.values())
+        assert max(len({f[0] for f in families}) for _, families in seen.values()) > 1
 
 
 class TestCheckSolves:
