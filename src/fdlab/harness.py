@@ -21,7 +21,12 @@ them expand the same schedule trees, one tree per call that enters each
 pattern once and is re-rooted at each of its families.  Each preservation
 claim is one walker class that states the whole claim and adds incremental
 per-step checks; one walker serves a call, and ``_verify_claim`` takes it
-over patterns, history groups and initial states.
+over patterns, history groups and initial states.  A tree interns local
+states, messages and observable rows as small ints for its call, so each
+transition input runs ``alg.transition`` once and memo keys are flat tuples
+of ints.  Both walkers memoize subtrees met on aligned paths that carry no
+violation: the stall memo lasts for the whole call, and the delay memo,
+whose keys leave the pattern out, for one pattern.
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -283,17 +288,42 @@ def history_groups(
     return [(members[0], members) for members in groups.values()]
 
 
+class _Interner:
+    """Equal values share one small int, given in first-seen order;
+    ``values[i]`` is the value of id ``i``."""
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self) -> None:
+        self.ids: dict = {}
+        self.values: list = []
+
+    def __call__(self, value) -> int:
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return i
+
+
 class _ScheduleTree:
     """The schedule trees of one call, one (pattern, history, initial states)
     family at a time.
 
     ``enter`` sets the pattern of the families that ``start`` then roots the
-    tree at.  The tree holds the current path: per-process states, the
-    messages in transit (in send order) and the schedule, whose steps sit at
-    consecutive times from the window ``offset`` that the walk sets.
-    ``steps``, the call's step table, maps each edge ``(actor, pre,
-    received, suspects, depth)`` to ``None`` (no step enabled) or to the
-    ``Step`` taken there with its ``step_facts``; a sent message's tag is
+    tree at.  The tree holds the current path: per-process state ids, the
+    ids of the messages in transit (in send order) and the schedule, whose
+    steps sit at consecutive times from the window ``offset`` that the walk
+    sets.  Local states (``state_ids``), messages (``message_ids``, each with
+    its receiver in ``receiver_of`` and the id of its (sender, receiver,
+    payload) triple in ``triple_of``) are interned per call.
+    ``successors`` maps each transition input ``(actor, state id,
+    transmission, suspects)`` to ``None`` or ``(post id, dispatch)``, so
+    ``alg.transition`` runs once per input and equal post states are one
+    object.  ``steps``, the call's step table, maps each edge ``(actor, pre
+    id, received id, suspects, depth)`` to ``None`` (no step enabled) or to
+    ``(step, facts, post id, sent id)``: the ``Step`` taken there, its
+    ``step_facts``, and the ids the path takes on.  A sent message's tag is
     ``depth * n + actor``, so the key fixes the step.  Each ``Step`` and
     ``Message`` is built on its edge's first visit and shared after that.
     """
@@ -302,7 +332,13 @@ class _ScheduleTree:
         self.alg = alg
         self.max_steps = max_steps
         self.n = alg.n
-        self.steps: dict[tuple, tuple[Step, object] | None] = {}
+        self.state_ids = _Interner()
+        self.message_ids = _Interner()
+        self.triple_ids = _Interner()
+        self.receiver_of: list[int] = []
+        self.triple_of: list[int] = []
+        self.successors: dict[tuple, tuple[int, tuple[int, str] | None] | None] = {}
+        self.steps: dict[tuple, tuple[Step, object, int, int | None] | None] = {}
 
     def enter(self, pattern: FailurePattern) -> None:
         """Enter a pattern, whose families ``start`` roots until the next one."""
@@ -313,8 +349,8 @@ class _ScheduleTree:
         """Root the tree at a family of the entered pattern, with the empty path."""
         self.history = history
         self.init = init
-        self.states: list[State] = list(init)
-        self.transit: list[Message] = []
+        self.states: list[int] = [self.state_ids(q) for q in init]
+        self.transit: list[int] = []
         self.schedule: list[Step] = []
         self.offset = 0
 
@@ -327,8 +363,38 @@ class _ScheduleTree:
         """What a walker needs of ``step`` on every visit, computed once."""
         return None
 
-    def children(self, t: int) -> Iterator[tuple[Step, object]]:
-        """Apply each step enabled at time ``t``, yield it with its facts,
+    def edge(
+        self, actor: int, pre: int, received: int | None, suspects: frozenset[int], depth: int
+    ) -> tuple[Step, object, int, int | None] | None:
+        """The step table's entry for an edge, built on its first visit."""
+        message = None if received is None else self.message_ids.values[received]
+        transmission = None if message is None else message.transmission()
+        key = (actor, pre, transmission, suspects)
+        try:
+            successor = self.successors[key]
+        except KeyError:
+            states = self.state_ids
+            result = self.alg.transition(actor, states.values[pre], transmission, suspects)
+            successor = self.successors[key] = (
+                None if result is None else (states(result[0]), result[1])
+            )
+        if successor is None:
+            return None
+        post, dispatch = successor
+        sent = sent_message = None
+        if dispatch is not None:
+            messages = self.message_ids
+            sent = messages(Message(actor, dispatch[0], dispatch[1], depth * self.n + actor))
+            sent_message = messages.values[sent]
+            if sent == len(self.receiver_of):
+                self.receiver_of.append(sent_message.receiver)
+                self.triple_of.append(self.triple_ids(sent_message[:3]))
+        values = self.state_ids.values
+        step = Step(actor, values[pre], message, suspects, values[post], sent_message)
+        return step, self.step_facts(step), post, sent
+
+    def children(self, t: int) -> Iterator[tuple[Step, object, int, int | None]]:
+        """Apply each step enabled at time ``t``, yield its step table entry,
         then undo it.
 
         Nothing is enabled once the path holds ``max_steps`` steps or ``t``
@@ -339,47 +405,37 @@ class _ScheduleTree:
         if depth >= self.max_steps or t > self.horizon:
             return
         crashed = self.pattern.crashed_at(t)
+        cells = self.history.cells
         states = self.states
         transit = self.transit
+        receiver_of = self.receiver_of
+        schedule = self.schedule
         table = self.steps
         for actor in range(self.n):
             if actor in crashed:
                 continue
-            suspects = self.history.at(actor, t)
+            suspects = cells[actor][t]
             pre = states[actor]
-            options: list[Message | None] = [None]
-            options += [m for m in transit if m.receiver == actor]
+            options: list[int | None] = [None]
+            options += [m for m in transit if receiver_of[m] == actor]
             for received in options:
                 key = (actor, pre, received, suspects, depth)
                 try:
                     edge = table[key]
                 except KeyError:
-                    transmission = None if received is None else received.transmission()
-                    edge = result = self.alg.transition(actor, pre, transmission, suspects)
-                    if result is not None:
-                        post, dispatch = result
-                        sent = (
-                            None
-                            if dispatch is None
-                            else Message(actor, dispatch[0], dispatch[1], depth * self.n + actor)
-                        )
-                        step = Step(actor, pre, received, suspects, post, sent)
-                        edge = step, self.step_facts(step)
-                    table[key] = edge
+                    edge = table[key] = self.edge(actor, pre, received, suspects, depth)
                 if edge is None:
                     continue
-                step = edge[0]
-                sent = step.sent
-                states[actor] = step.post
+                step, _, states[actor], sent = edge
                 removed_at = 0
                 if received is not None:
                     removed_at = transit.index(received)
                     del transit[removed_at]
                 if sent is not None:
                     transit.append(sent)
-                self.schedule.append(step)
+                schedule.append(step)
                 yield edge
-                self.schedule.pop()
+                schedule.pop()
                 if sent is not None:
                     transit.pop()
                 if received is not None:
@@ -415,7 +471,7 @@ class _ScheduleTree:
     def _below(
         self, t: int, window: int, owed: frozenset[int], last: list[int], debt: int
     ) -> Iterator[Run]:
-        for step, _ in self.children(t):
+        for step, _, _, _ in self.children(t):
             actor = step.actor
             child_debt = debt
             if step.received is not None and actor in owed:
@@ -472,29 +528,71 @@ def _verdict(predicate: ProblemPredicate, w: ProblemSeq, pattern: FailurePattern
     return "fail"
 
 
+class _Rows(_Interner):
+    """The observable rows of one call, interned as row ids.
+
+    ``moves`` maps ``(row id, i, letter)`` to the id of the row in which
+    process ``i`` shows ``letter`` instead, and to whether that change
+    breaks an agreement sequence (``_BREAKS``; false for other letters).
+    ``verdicts`` maps (predicate type, survivors) to each row id's verdict
+    on that row alone.
+    """
+
+    __slots__ = ("moves", "verdicts")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.moves: dict[tuple[int, int, str], tuple[int, bool]] = {}
+        self.verdicts: dict[tuple[type, frozenset[int]], dict[int, str]] = {}
+
+    def move(self, key: tuple[int, int, str]) -> tuple[int, bool]:
+        """Make the entry of ``moves`` at ``key``, on its first use."""
+        row, i, letter = key
+        old = self.values[row]
+        new = self(old[:i] + (letter,) + old[i + 1 :])
+        move = self.moves[key] = (new, _BREAKS.get((old[i], letter), False))
+        return move
+
+
 class _Judge:
     """The growing observable sequence of one run, judged by its predicate.
 
-    ``rows`` holds the sequence: ``push`` appends the row in which process
-    ``i`` shows ``letter`` instead, and ``pop`` takes the last row back.
-    ``classify`` judges the whole sequence, so this judge serves any
-    predicate.
+    ``ids`` holds the sequence as ids of ``table``, the call's ``_Rows``:
+    ``push`` appends the row in which process ``i`` shows ``letter``
+    instead, and ``pop`` takes the last row back.  ``rows`` and ``last``
+    decode it.  ``classify`` judges the whole sequence, so this judge serves
+    any predicate.
     """
 
-    __slots__ = ("rows", "predicate", "pattern")
+    __slots__ = ("ids", "table", "moves", "predicate", "pattern")
 
-    def __init__(self, letters: list[str], predicate: ProblemPredicate, pattern: FailurePattern):
-        self.rows = [tuple(letters)]
+    def __init__(
+        self,
+        letters: list[str],
+        predicate: ProblemPredicate,
+        pattern: FailurePattern,
+        table: _Rows,
+    ):
+        self.ids = [table(tuple(letters))]
+        self.table = table
+        self.moves = table.moves
         self.predicate = predicate
         self.pattern = pattern
 
+    @property
+    def rows(self) -> list[tuple[str, ...]]:
+        values = self.table.values
+        return [values[row] for row in self.ids]
+
+    def last(self) -> tuple[str, ...]:
+        return self.table.values[self.ids[-1]]
+
     def push(self, i: int, letter: str) -> None:
-        row = list(self.rows[-1])
-        row[i] = letter
-        self.rows.append(tuple(row))
+        key = (self.ids[-1], i, letter)
+        self.ids.append((self.moves.get(key) or self.table.move(key))[0])
 
     def pop(self) -> None:
-        self.rows.pop()
+        self.ids.pop()
 
     def classify(self) -> str:
         """'fail' | 'undecided' | 'decided' for the current sequence."""
@@ -510,14 +608,18 @@ def _monitored(predicate: ProblemPredicate, sigma: frozenset[str]) -> bool:
 
 
 def _judge(
-    predicate: ProblemPredicate, sigma: frozenset[str], letters: list[str], pattern: FailurePattern
+    predicate: ProblemPredicate,
+    sigma: frozenset[str],
+    letters: list[str],
+    pattern: FailurePattern,
+    table: _Rows,
 ) -> _Judge:
     """The judge of a sequence that starts at ``letters`` and grows by
-    ``push``: ``_AgreementMonitor`` where ``_monitored`` holds, the
-    whole-sequence ``_Judge`` for anything else."""
+    ``push``, its rows interned in ``table``: ``_AgreementMonitor`` where
+    ``_monitored`` holds, the whole-sequence ``_Judge`` for anything else."""
     if _monitored(predicate, sigma):
-        return _AgreementMonitor(letters, predicate, pattern)
-    return _Judge(letters, predicate, pattern)
+        return _AgreementMonitor(letters, predicate, pattern, table)
+    return _Judge(letters, predicate, pattern, table)
 
 
 def _fair_verdicts(
@@ -542,13 +644,14 @@ def _fair_verdicts(
     """
     interp.check_initial_cover(alg.initial_states)
     of = interp.of
+    table = _Rows()
     pattern = history = init = None
     steps: tuple[Step, ...] = ()
     for run in enumerate_runs(alg, fd, strict_bounds):
         if run.init is not init or run.history is not history or run.pattern is not pattern:
             pattern, history, init = run.pattern, run.history, run.init
             letters = [of(i, s) for i, s in enumerate(init)]
-            judge = _judge(predicate, interp.sigma, letters, pattern)
+            judge = _judge(predicate, interp.sigma, letters, pattern, table)
             steps = ()
         schedule = run.schedule
         keep = 0
@@ -804,11 +907,6 @@ _BREAKS: dict[tuple[str, str], bool] = {
     for new in AGREEMENT_ALPHABET
 }
 
-#: (predicate type, survivors) -> row -> the predicate's verdict on that row
-#: alone; both agreement predicates are stateless and read a pattern only
-#: through its survivors
-_ROW_VERDICTS: dict[tuple[type, frozenset[int]], dict[tuple[str, ...], str]] = {}
-
 
 class _AgreementMonitor(_Judge):
     """The judge of the two agreement predicates, in O(1) per step.
@@ -816,35 +914,47 @@ class _AgreementMonitor(_Judge):
     ``broken`` holds one bit per row: has a step up to it broken the
     sequence for good (see ``_BREAKS``)?  Until one has, the last row holds
     every proposal and every decision taken, so the predicate's verdict on
-    the whole sequence is its verdict on the last row alone, cached per row.
-    After a break both predicates fail, since ``undecided`` needs safety too.
+    the whole sequence is its verdict on the last row alone, cached per row
+    id in the table's ``verdicts``.  After a break both predicates fail,
+    since ``undecided`` needs safety too.
     """
 
     __slots__ = ("broken", "verdicts")
 
-    def __init__(self, letters: list[str], predicate: ProblemPredicate, pattern: FailurePattern):
-        super().__init__(letters, predicate, pattern)
+    def __init__(
+        self,
+        letters: list[str],
+        predicate: ProblemPredicate,
+        pattern: FailurePattern,
+        table: _Rows,
+    ):
+        super().__init__(letters, predicate, pattern, table)
         self.broken = [False]
-        self.verdicts = _ROW_VERDICTS.setdefault((type(predicate), pattern.correct()), {})
+        # both agreement predicates are stateless and read a pattern only
+        # through its survivors
+        self.verdicts = table.verdicts.setdefault((type(predicate), pattern.correct()), {})
 
     def push(self, i: int, letter: str) -> None:
-        row = list(self.rows[-1])
-        self.broken.append(self.broken[-1] or _BREAKS[row[i], letter])
-        row[i] = letter
-        self.rows.append(tuple(row))
+        ids = self.ids
+        key = (ids[-1], i, letter)
+        row, breaks = self.moves.get(key) or self.table.move(key)
+        ids.append(row)
+        self.broken.append(self.broken[-1] or breaks)
 
     def pop(self) -> None:
-        self.rows.pop()
+        self.ids.pop()
         self.broken.pop()
 
     def classify(self) -> str:
         """'fail' | 'undecided' | 'decided' for the current sequence."""
         if self.broken[-1]:
             return "fail"
-        row = self.rows[-1]
+        row = self.ids[-1]
         verdict = self.verdicts.get(row)
         if verdict is None:
-            verdict = self.verdicts[row] = _verdict(self.predicate, (row,), self.pattern)
+            verdict = self.verdicts[row] = _verdict(
+                self.predicate, (self.table.values[row],), self.pattern
+            )
         return verdict
 
 
@@ -886,18 +996,22 @@ class _TreeWalker(_ScheduleTree):
     A subclass states the whole claim: ``theorem``, ``fd``, ``k``, ``wrap``,
     ``derive``, ``map_pattern``, ``membership`` and its clause names, which
     initial states and steps the run mapping changes, the per-step clause
-    checks and the mapping half of the per-node slow-path cross-check.  The
-    walker adds the path's two observable sequences, each in its own judge:
-    the wrapper run's in ``judge``, and the mapped run's in ``mapped``, one
-    row per step the mapping keeps.  It also keeps the per-run violations
-    the path carries.  A path on which the two last rows were always equal
-    is aligned: it stutter-expands the mapped sequence by construction, so
+    checks, the mapping half of the per-node slow-path cross-check, and its
+    memo: ``memo_view``, ``memo_key`` and the memo's lifetime.  The walker
+    adds the path's two observable sequences, each in its own judge: the
+    wrapper run's in ``judge``, and the mapped run's in ``mapped``, one row
+    per step the mapping keeps.  Both judges intern their rows in ``rows``,
+    the call's ``_Rows``.  It also keeps the per-run violations the path
+    carries.  A path on which the two last row ids were always equal is
+    aligned: it stutter-expands the mapped sequence by construction, so
     ``is_stutter`` runs only off such paths.  ``examples`` (for each of the
     first ``MAX_RECORDED_FAILURES`` (clause, detail) pairs, the document of
-    the first run seen, or ``None`` for a membership clause) and ``memo``
-    (each walked subtree's ``_WalkTotals``, their tallies interned; ``None``
-    for a ``thorough`` call, or a judge other than the agreement monitor,
-    whose broken bit the keys hold) last for the whole call.
+    the first run seen, or ``None`` for a membership clause) lasts for the
+    whole call.  ``memo`` maps a key of ints to a walked subtree's
+    ``_WalkTotals``, each distinct record kept once in ``subtrees``; it is
+    ``None`` for a ``thorough`` call, or a judge other than the agreement
+    monitor, whose broken bit the keys hold.  The stall memo lasts for the
+    whole call, the delay memo for one pattern.
     """
 
     theorem: str
@@ -927,11 +1041,11 @@ class _TreeWalker(_ScheduleTree):
         self.predicate = predicate
         self.thorough = thorough
         self.examples: dict[tuple[str, str], dict | None] = {}
+        self.rows = _Rows()
         monitored = _monitored(predicate, derived_interp.sigma)
         self.memo: dict[tuple, _WalkTotals] | None = {} if monitored and not thorough else None
-        self.tallies: dict[tuple, dict[tuple[str, str], int]] = {}
-        #: one (sender, receiver, payload) triple per message, for memo keys
-        self.triples: dict[Message, tuple[int, int, str]] = {}
+        #: each distinct subtree record the memo stores, kept once for the call
+        self.subtrees: dict[tuple, _WalkTotals] = {}
 
     def enter(self, pattern: FailurePattern) -> None:
         super().enter(pattern)
@@ -942,10 +1056,12 @@ class _TreeWalker(_ScheduleTree):
         """Root the walk at a family, with one judge per observable sequence."""
         super().start(history, init)
         letters = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
-        self.judge = _judge(self.predicate, self.v_tilde.sigma, letters, self.pattern)
+        self.judge = _judge(self.predicate, self.v_tilde.sigma, letters, self.pattern, self.rows)
         mapped_letters = [self.interp.of(i, self.mapped_state(s)) for i, s in enumerate(init)]
-        self.mapped = _judge(self.predicate, self.interp.sigma, mapped_letters, self.mapped_pattern)
-        self.init_aligned = self.judge.rows[0] == self.mapped.rows[0]
+        self.mapped = _judge(
+            self.predicate, self.interp.sigma, mapped_letters, self.mapped_pattern, self.rows
+        )
+        self.init_aligned = self.judge.ids[0] == self.mapped.ids[0]
         #: per-run clause violations carried by the current path
         self.sticky: list[tuple[str, str]] = []
 
@@ -972,10 +1088,16 @@ class _TreeWalker(_ScheduleTree):
         return shown, None if self.dropped(step) else self.interp.of(step.actor, step.post)
 
     def memo_view(self, aligned: bool) -> dict | None:
-        return None
+        """The memo to consult at this node, or ``None`` to walk it."""
+        return self.memo if aligned and not self.sticky else None
 
     def memo_key(self, t: int, remaining: int) -> tuple:
         raise NotImplementedError
+
+    def transit_key(self) -> list[int]:
+        """The messages in transit as sorted (sender, receiver, payload) ids."""
+        triple_of = self.triple_of
+        return sorted([triple_of[m] for m in self.transit])
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         """Validate the current run's mapped run from scratch and compare
@@ -1054,11 +1176,14 @@ class _TreeWalker(_ScheduleTree):
 
     def expand(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
         """Walk the children at time ``t`` into ``totals``, or credit them
-        from the memo.
+        from the memo that ``memo_view`` returns.
 
         A memo entry is the subtree's ``_WalkTotals``, clause tally included.
         A miss walks the children into a fresh record and stores it; a hit
-        and a miss alike end by adding that record to ``totals``.
+        and a miss alike end by adding that record to ``totals``.  Both
+        walkers consult their memo only on aligned paths that carry no
+        violation; the stall memo lasts for the call, the delay memo for
+        one pattern.
         """
         depth = len(self.schedule)
         if depth >= self.max_steps or t > self.horizon:
@@ -1072,17 +1197,18 @@ class _TreeWalker(_ScheduleTree):
         if subtree is None:
             subtree = _WalkTotals()
             self.expand_children(subtree, t, aligned)
-            if subtree.tally is not None:
-                # few distinct tallies recur across many subtrees: keep one copy
-                subtree.tally = self.tallies.setdefault(tuple(subtree.tally.items()), subtree.tally)
-            memo[key] = subtree
+            # few distinct records recur under many keys: keep one copy of each
+            tally = None if subtree.tally is None else tuple(subtree.tally.items())
+            record = (subtree.nodes, subtree.violations, subtree.decided, subtree.undecided, tally)
+            subtree = memo[key] = self.subtrees.setdefault(record, subtree)
         totals.add(subtree)
 
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
         judge, mapped = self.judge, self.mapped
+        judge_ids, mapped_ids = judge.ids, mapped.ids
         sticky = self.sticky
         step_violations = self.step_violations
-        for step, (shown, mapped_letter) in self.children(t):
+        for step, (shown, mapped_letter), _, _ in self.children(t):
             actor = step.actor
             judge.push(actor, shown)
             if mapped_letter is not None:
@@ -1090,7 +1216,7 @@ class _TreeWalker(_ScheduleTree):
 
             step_viols = step_violations(step)
             sticky.extend(step_viols)
-            child_aligned = aligned and judge.rows[-1] == mapped.rows[-1]
+            child_aligned = aligned and judge_ids[-1] == mapped_ids[-1]
             self.account_node(totals, child_aligned)
             self.expand(totals, t + 1, child_aligned)
 
@@ -1115,6 +1241,11 @@ class _SosWalker(_TreeWalker):
     derive = staticmethod(derive_interpretation_sos)
     map_pattern = staticmethod(initial_crash_scenario)
 
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        #: (crashed sets of a remaining window, faulty set) ids, for the whole call
+        self.suffixes = _Interner()
+
     def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         return history_in_p(history, mapped_pattern)
 
@@ -1128,24 +1259,22 @@ class _SosWalker(_TreeWalker):
                 )
             )
 
-    def memo_view(self, aligned: bool) -> dict | None:
-        return self.memo if aligned and not self.sticky else None
+    def enter(self, pattern: FailurePattern) -> None:
+        super().enter(pattern)
+        #: (t, remaining) -> the id of that window's suffix in this pattern
+        self.suffix_at: dict[tuple[int, int], int] = {}
 
     def memo_key(self, t: int, remaining: int) -> tuple:
         # no history: strict M fixes every cell a live process reads to self.faulty
         # the crashed sets of the remaining window fix its live sets
-        crashed_suffix = self.pattern.crashed[t : t + remaining]
-        triples = self.triples
-        transit_key = tuple(
-            sorted(triples.get(m) or triples.setdefault(m, m[:3]) for m in self.transit)
-        )
+        suffix = self.suffix_at.get((t, remaining))
+        if suffix is None:
+            suffix = self.suffix_at[t, remaining] = self.suffixes(
+                (self.pattern.crashed[t : t + remaining], self.faulty)
+            )
         assert isinstance(self.judge, _AgreementMonitor)
         return (
-            remaining,
-            crashed_suffix,
-            self.faulty,
-            tuple(self.states),
-            transit_key,
+            suffix,
             # the states fix the last row, and with it every later verdict
             # of an unbroken sequence.  The mapped judge's bit equals this
             # one, since the memo serves only aligned paths: both sequences
@@ -1153,14 +1282,16 @@ class _SosWalker(_TreeWalker):
             # row (and _BREAKS[x, x] is false), and a kept step makes the
             # same letter change in both.
             self.judge.broken[-1],
+            *self.states,
+            *self.transit_key(),
         )
 
     def step_violations(self, step: Step) -> list[tuple[str, str]]:
         out: list[tuple[str, str]] = []
         actor = step.actor
-        shown = self.judge.rows[-1][actor]
+        shown = self.judge.last()[actor]
         # the actor's letter in the stripped run: its last kept state's
-        frozen = self.mapped.rows[-1][actor]
+        frozen = self.mapped.last()[actor]
         if actor not in self.faulty:
             if shown != frozen:
                 out.append(
@@ -1241,6 +1372,43 @@ class _DasWalker(_TreeWalker):
 
     def map_pattern(self, pattern: FailurePattern) -> FailurePattern:
         return shift_pattern(pattern) if self.time_shift else pattern
+
+    def enter(self, pattern: FailurePattern) -> None:
+        super().enter(pattern)
+        if self.memo is not None:
+            # the keys leave the pattern out, so the memo and the window ids
+            # its keys hold last one pattern
+            self.memo = {}
+            self.windows = _Interner()
+            self.windows_of: History | None = None
+
+    def start(self, history: History, init: tuple[State, ...]) -> None:
+        super().start(history, init)
+        if self.memo is not None and history is not self.windows_of:
+            self.windows_of = history
+            #: (t, remaining) -> the window id of this history's cells there
+            self.window_at: dict[tuple[int, int], int] = {}
+
+    def memo_key(self, t: int, remaining: int) -> tuple:
+        # the pattern and t fix the crashed sets of the remaining window, and
+        # the window id every cell its steps can read
+        window = self.window_at.get((t, remaining))
+        if window is None:
+            cells = tuple(row[t : t + remaining] for row in self.history.cells)
+            window = self.window_at[t, remaining] = self.windows(cells)
+        judge = self.judge
+        assert isinstance(judge, _AgreementMonitor)
+        return (
+            t,
+            remaining,
+            window,
+            # as in the stall key: on an aligned path the mapped judge's row
+            # and bit equal these
+            judge.ids[-1],
+            judge.broken[-1],
+            *self.states,
+            *self.transit_key(),
+        )
 
     def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         shifted = shift_history(history) if self.time_shift else history

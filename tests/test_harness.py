@@ -37,7 +37,12 @@ from fdlab.harness import (
 )
 from fdlab.model import Message, Step
 from fdlab.traces import canonical_json, run_from_doc
-from fdlab.transforms import DelayState, StallState, derive_interpretation_sos
+from fdlab.transforms import (
+    DelayState,
+    StallState,
+    derive_interpretation_das,
+    derive_interpretation_sos,
+)
 
 from .oracles import (
     PlantedLengthSensitive,
@@ -429,7 +434,8 @@ def _recorded(monkeypatch: pytest.MonkeyPatch) -> list[harness._ScheduleTree]:
 
 class TestStepTable:
     """One call builds each step once: the tree's step table maps each edge
-    ``(actor, pre, received, suspects, depth)`` to the step taken there."""
+    ``(actor, pre, received, suspects, depth)``, with the pre state and the
+    received message as the call's interned ids, to the step taken there."""
 
     BOUNDS = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=1)
 
@@ -446,14 +452,18 @@ class TestStepTable:
     ) -> None:
         """Every entry equals the step rebuilt from ``alg.transition``, with
         the sent message tagged ``depth * n + actor``, and a walker's facts
-        are the step's letter and its mapped letter, ``None`` when dropped."""
+        are the step's letter and its mapped letter, ``None`` when dropped.
+        The entry's post state and sent message ids decode to the step's."""
         trees = _recorded(monkeypatch)
         for call in self._calls():
             call()
         dropped = kept = 0
         for tree in trees:
             assert tree.steps
-            for (actor, pre, received, suspects, depth), edge in tree.steps.items():
+            states, messages = tree.state_ids.values, tree.message_ids.values
+            for (actor, pre_id, received_id, suspects, depth), edge in tree.steps.items():
+                pre = states[pre_id]
+                received = None if received_id is None else messages[received_id]
                 heard = None if received is None else received.transmission()
                 result = tree.alg.transition(actor, pre, heard, suspects)
                 if result is None:
@@ -465,8 +475,10 @@ class TestStepTable:
                     if dispatch is None
                     else Message(actor, dispatch[0], dispatch[1], depth * tree.n + actor)
                 )
-                step, facts = edge
+                step, facts, post_id, sent_id = edge
                 assert step == Step(actor, pre, received, suspects, post, sent)
+                assert states[post_id] is step.post
+                assert (None if sent_id is None else messages[sent_id]) is step.sent
                 if not isinstance(tree, harness._TreeWalker):
                     assert facts is None
                     continue
@@ -493,7 +505,14 @@ class TestStepTable:
                 assert first is step
                 families.add((run.pattern, run.history, run.init))
         (tree,) = trees
-        assert all(tree.steps[key][0] is step for key, (step, _) in seen.items())
+        state_ids, message_ids = tree.state_ids.ids, tree.message_ids.ids
+
+        def interned(key: tuple) -> tuple:
+            actor, pre, received, suspects, depth = key
+            received_id = None if received is None else message_ids[received]
+            return actor, state_ids[pre], received_id, suspects, depth
+
+        assert all(tree.steps[interned(key)][0] is step for key, (step, _) in seen.items())
         assert len(seen) < sum(len(families) for _, families in seen.values())
         assert max(len({f[0] for f in families}) for _, families in seen.values()) > 1
 
@@ -626,7 +645,9 @@ class TestJudges:
             for pattern in all_monotone_patterns(2, horizon):
                 starts = predicate.sigma if horizon == 0 else predicate.sigma_init
                 for init in product(sorted(starts), repeat=2):
-                    judge = harness._judge(predicate, predicate.sigma, list(init), pattern)
+                    judge = harness._judge(
+                        predicate, predicate.sigma, list(init), pattern, harness._Rows()
+                    )
                     judges.add(type(judge))
                     walk(judge, pattern, 0)
                     assert judge.rows == [init]
@@ -639,8 +660,8 @@ def _untimed(report) -> dict:
 
 
 class _AuditMemo(dict):
-    """A stall memo that never hits, so every subtree is walked each time;
-    a store under a key stored before must carry the first store's totals
+    """A memo that never hits, so every subtree is walked each time; a
+    store under a key stored before must carry the first store's totals
     and tally, in the same order."""
 
     def __init__(self) -> None:
@@ -665,6 +686,53 @@ def _sabotaged_sos(alg, interp: Interpretation) -> Interpretation:
     q = alg.initial_states(0)[0]
     wrong = "1|-" if interp.of(0, q) != "1|-" else "0|-"
     return derive_interpretation_sos(interp, alg).replaced(0, StallState(q), wrong)
+
+
+def _sabotaged_das(alg, interp: Interpretation) -> Interpretation:
+    """The delay claim's counterpart: one delay state shows the wrong letter."""
+    q = alg.initial_states(0)[0]
+    wrong = "1|-" if interp.of(0, q) != "1|-" else "0|-"
+    return derive_interpretation_das(interp, alg).replaced(0, DelayState(q), wrong)
+
+
+def _sabotaged_step_das(alg, interp: Interpretation) -> Interpretation:
+    """A derivation wrong on a state the mapping keeps: the state process 0
+    enters from its first initial state, hearing and suspecting nothing."""
+    post, _ = alg.transition(0, alg.initial_states(0)[0], None, frozenset())
+    proposal, decision = interp.of(0, post).split("|")
+    wrong = f"{1 - int(proposal)}|{decision}"
+    return derive_interpretation_das(interp, alg).replaced(0, post, wrong)
+
+
+#: n = 3 delay-claim bounds whose memo hits cross histories of one pattern.
+#: Its patterns leave process 0 the one survivor, whose decision can rest on
+#: what it suspects, so the history cells a subtree reads change its totals
+DELAY_AUDIT_BOUNDS = EnumerationBounds(
+    n=3,
+    horizon=3,
+    max_steps=4,
+    history_budget=1,
+    patterns=tuple(p for p in all_monotone_patterns(3, 3) if p.faulty() == {1, 2}),
+)
+#: the delay checks the memo audits compare: clean, a delay state's letter
+#: sabotaged, a kept state's letter sabotaged, and unshifted.  Only the
+#: third puts failures in subtrees the memo serves: a delay state shows its
+#: letter only in a run's first row, so its sabotage unaligns the run at the
+#: root, where no memo is consulted
+DELAY_AUDIT_CASES = ("clean", "delay-letter", "step-letter", "unshifted")
+DELAY_SABOTAGES = {"delay-letter": _sabotaged_das, "step-letter": _sabotaged_step_das}
+
+
+def _delay_report(name: str, case: str) -> dict:
+    alg, interp, predicate = builtin_algorithm(name, 3)
+    sabotage = DELAY_SABOTAGES.get(case)
+    derived = None if sabotage is None else sabotage(alg, interp)
+    return _untimed(
+        verify_das(
+            alg, interp, predicate, 0, DELAY_AUDIT_BOUNDS,
+            derived_interp=derived, time_shift=case != "unshifted",
+        )
+    )
 
 
 class TestCounterexampleProbe:
@@ -848,26 +916,109 @@ class TestTheoremChecks:
                 verify_das(ALG, INTERP, PREDICATE, 0, bounds)
 
     @pytest.mark.parametrize(
-        "name, planted",
+        "name, sabotaged, planted",
         [
-            pytest.param("flood-consensus-p", False, id="flood-consensus-p"),
-            pytest.param("strong-consensus-m", False, id="strong-consensus-m"),
-            pytest.param("flood-consensus-p", True, id="flood-consensus-p-length-sensitive"),
+            pytest.param("flood-consensus-p", False, False, id="flood-consensus-p"),
+            pytest.param("strong-consensus-m", False, False, id="strong-consensus-m"),
+            pytest.param("flood-consensus-p", True, False, id="flood-consensus-p-sabotaged"),
+            pytest.param(
+                "flood-consensus-p", False, True, id="flood-consensus-p-length-sensitive"
+            ),
         ],
     )
-    def test_delay_preservation_fast_equals_thorough(self, name: str, planted: bool) -> None:
-        """The length-sensitive predicate is judged on the whole sequence and
-        fails clause (d); its failures must agree too."""
+    def test_delay_preservation_fast_equals_thorough(
+        self, name: str, sabotaged: bool, planted: bool
+    ) -> None:
+        """The memoized pass and the from-scratch pass agree exactly.  A
+        delay state showing the wrong letter fails clauses (c) and (d) on the
+        runs that start in it.  The length-sensitive predicate is judged on
+        the whole sequence, which the memo does not serve, and fails clause
+        (d); its failures must agree too."""
         alg, interp, predicate = builtin_algorithm(name, 2)
         if planted:
             predicate = PlantedLengthSensitive()
-        fast = verify_das(alg, interp, predicate, 0, self.BOUNDS)
-        slow = verify_das(alg, interp, predicate, 0, self.BOUNDS, thorough=True)
-        assert fast.ok == slow.ok == (not planted)
+        derived = _sabotaged_das(alg, interp) if sabotaged else None
+        fast = verify_das(alg, interp, predicate, 0, self.BOUNDS, derived_interp=derived)
+        slow = verify_das(
+            alg, interp, predicate, 0, self.BOUNDS, derived_interp=derived, thorough=True
+        )
+        assert fast.ok == slow.ok == (not sabotaged and not planted)
         for field in ("checked_runs", "checked_histories", "failure_count",
                       "decided_runs", "undecided_runs", "families"):
             assert getattr(fast, field) == getattr(slow, field), field
         assert [f.to_dict() for f in fast.failures] == [f.to_dict() for f in slow.failures]
+
+    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
+    def test_delay_memo_on_equals_memo_off_at_three_processes(
+        self, name: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """The delay memo's hits cross histories and initial states of one
+        pattern; whole reports, clean, sabotaged and unshifted, must not
+        depend on them.  A memo key first looked up under another history
+        of the same pattern is such a hit."""
+        memo_key = harness._DasWalker.memo_key
+        first_history: dict[tuple, object] = {}
+        crossing = 0
+
+        def spied(walker, t: int, remaining: int) -> tuple:
+            nonlocal crossing
+            key = memo_key(walker, t, remaining)
+            crossing += first_history.setdefault((walker.pattern, key), walker.history) is not (
+                walker.history
+            )
+            return key
+
+        monkeypatch.setattr(harness._DasWalker, "memo_key", spied)
+        memoized = {case: _delay_report(name, case) for case in DELAY_AUDIT_CASES}
+        assert crossing > 0
+        failing = {case for case, doc in memoized.items() if doc["failure_count"]}
+        assert failing == set(DELAY_AUDIT_CASES) - {"clean"}
+        monkeypatch.setattr(harness._DasWalker, "memo_view", lambda self, aligned: None)
+        assert {case: _delay_report(name, case) for case in DELAY_AUDIT_CASES} == memoized
+
+    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
+    def test_equal_delay_memo_keys_mean_equal_subtrees(
+        self, name: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Wherever the delay memo would be consulted, an audit memo of the
+        same lifetime, one pattern, walks the subtree anyway and compares it
+        with every earlier subtree under the same key.  Subtrees carry
+        failures only where a kept state's letter is sabotaged."""
+        memo_view = harness._DasWalker.memo_view
+        for case in DELAY_AUDIT_CASES:
+            audits: dict[object, _AuditMemo] = {}
+            monkeypatch.setattr(
+                harness._DasWalker,
+                "memo_view",
+                lambda self, aligned: (
+                    None
+                    if memo_view(self, aligned) is None
+                    else audits.setdefault(self.pattern, _AuditMemo())
+                ),
+            )
+            _delay_report(name, case)
+            assert sum(audit.repeats for audit in audits.values()) > 0
+            failing = any(tally for audit in audits.values() for *_, tally in audit.values())
+            assert failing == (case == "step-letter")
+
+    def test_delay_memo_holds_no_key_from_an_earlier_pattern(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """The delay memo's keys leave the pattern out, so entering a pattern
+        must leave no key stored under an earlier one."""
+        enter = harness._DasWalker.enter
+        held: list[int] = []
+
+        def entered(walker, pattern) -> None:
+            before = set(walker.memo)
+            enter(walker, pattern)
+            assert not before & set(walker.memo)
+            held.append(len(before))
+
+        monkeypatch.setattr(harness._DasWalker, "enter", entered)
+        _delay_report("flood-consensus-p", "clean")
+        assert len(held) == len(DELAY_AUDIT_BOUNDS.patterns)
+        assert sum(size > 0 for size in held) > 1
 
     def test_delay_claim_refuses_a_lag_past_the_horizon(self) -> None:
         """The wrapper's oracle is accurate after ``k+1``, which must stay
