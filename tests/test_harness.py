@@ -721,15 +721,19 @@ DELAY_AUDIT_BOUNDS = EnumerationBounds(
 #: root, where no memo is consulted
 DELAY_AUDIT_CASES = ("clean", "delay-letter", "step-letter", "unshifted")
 DELAY_SABOTAGES = {"delay-letter": _sabotaged_das, "step-letter": _sabotaged_step_das}
+#: n = 3 delay-claim bounds whose step bound ends each window before the
+#: horizon, over every pattern, so that patterns which share a window's
+#: crashed sets and history cells but not their faulty set meet there
+DELAY_SHORT_BOUNDS = EnumerationBounds(n=3, horizon=2, max_steps=2, history_budget=1)
 
 
-def _delay_report(name: str, case: str) -> dict:
+def _delay_report(name: str, case: str, bounds: EnumerationBounds = DELAY_AUDIT_BOUNDS) -> dict:
     alg, interp, predicate = builtin_algorithm(name, 3)
     sabotage = DELAY_SABOTAGES.get(case)
     derived = None if sabotage is None else sabotage(alg, interp)
     return _untimed(
         verify_das(
-            alg, interp, predicate, 0, DELAY_AUDIT_BOUNDS,
+            alg, interp, predicate, 0, bounds,
             derived_interp=derived, time_shift=case != "unshifted",
         )
     )
@@ -980,32 +984,30 @@ class TestTheoremChecks:
     def test_equal_delay_memo_keys_mean_equal_subtrees(
         self, name: str, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        """Wherever the delay memo would be consulted, an audit memo of the
-        same lifetime, one pattern, walks the subtree anyway and compares it
-        with every earlier subtree under the same key.  Subtrees carry
-        failures only where a kept state's letter is sabotaged."""
+        """Wherever the delay memo would be consulted, one audit memo for the
+        whole call walks the subtree anyway and compares it with every
+        earlier subtree under the same key, whichever pattern stored it: a
+        key must fix its subtree whatever the memo's lifetime.  Subtrees
+        carry failures only where a kept state's letter is sabotaged."""
         memo_view = harness._DasWalker.memo_view
-        for case in DELAY_AUDIT_CASES:
-            audits: dict[object, _AuditMemo] = {}
-            monkeypatch.setattr(
-                harness._DasWalker,
-                "memo_view",
-                lambda self, aligned: (
-                    None
-                    if memo_view(self, aligned) is None
-                    else audits.setdefault(self.pattern, _AuditMemo())
-                ),
-            )
-            _delay_report(name, case)
-            assert sum(audit.repeats for audit in audits.values()) > 0
-            failing = any(tally for audit in audits.values() for *_, tally in audit.values())
-            assert failing == (case == "step-letter")
+        for bounds in (DELAY_AUDIT_BOUNDS, DELAY_SHORT_BOUNDS):
+            for case in DELAY_AUDIT_CASES:
+                audit = _AuditMemo()
+                monkeypatch.setattr(
+                    harness._DasWalker,
+                    "memo_view",
+                    lambda self, aligned: None if memo_view(self, aligned) is None else audit,
+                )
+                _delay_report(name, case, bounds)
+                assert audit.repeats > 0
+                assert any(tally for *_, tally in audit.values()) == (case == "step-letter")
 
     def test_delay_memo_holds_no_key_from_an_earlier_pattern(
         self, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        """The delay memo's keys leave the pattern out, so entering a pattern
-        must leave no key stored under an earlier one."""
+        """The delay memo lasts for one pattern, which keeps its memory
+        small, so entering a pattern must leave no key stored under an
+        earlier one."""
         enter = harness._DasWalker.enter
         held: list[int] = []
 

@@ -8,9 +8,10 @@ letters, two payloads per process, and each table input enabled with
 probability 0.75, with a random post state and dispatch.  Each machine is
 checked under both claims with its derived interpretation, and again with
 one letter of it changed, at any state, so that failures reach subtrees the
-memos serve.  The fast report must equal the thorough one, and the report
-with memos the one without.  The search is seeded and bounded, so every run
-of the suite tries the same machines.
+memos serve.  The fast report must equal the thorough one, the report with
+memos the one without, and every subtree the memos would serve the first one
+walked under its key.  The search is seeded and bounded, so every run of the
+suite tries the same machines.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from fdlab import harness
 from fdlab.machines import TableAlgorithm
 from fdlab.problems import AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET, ProblemPredicate
 from fdlab.transforms import derive_interpretation_das, derive_interpretation_sos
+
+from .test_harness import _AuditMemo
 
 STATES = ("s0", "s1", "s2", "s3")
 INITIALS = ("s0", "s1")
@@ -137,3 +140,22 @@ def test_memo_on_equals_memo_off_on_random_machines(machine: Machine) -> None:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness._TreeWalker, "memo_view", lambda self, aligned: None)
         assert [_report(machine, claim, sabotaged, THREE) for claim, sabotaged in cases] == memoized
+
+
+@SETTINGS
+@given(machines(3))
+def test_equal_memo_keys_mean_equal_subtrees_on_random_machines(machine: Machine) -> None:
+    """Wherever a memo would be consulted, one audit memo for the whole call
+    walks the subtree anyway and compares it with every earlier subtree
+    under the same key, for both claims, clean and sabotaged."""
+    memo_view = harness._TreeWalker.memo_view
+    for claim in DERIVE:
+        for sabotaged in (False, True):
+            audit = _AuditMemo()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    harness._TreeWalker,
+                    "memo_view",
+                    lambda self, aligned: None if memo_view(self, aligned) is None else audit,
+                )
+                _report(machine, claim, sabotaged, THREE)
