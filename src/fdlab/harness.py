@@ -27,12 +27,11 @@ claim is one walker class that states the whole claim and adds incremental
 per-step checks; one walker serves a call, and ``_verify_claim`` takes it
 over patterns, history groups and initial states.  A tree interns local
 states, messages and observable rows as small ints for its call, so each
-transition input runs ``alg.transition`` once and memo keys are flat tuples
-of ints.  Both walkers memoize subtrees met on aligned paths that carry no
-violation, under one key (``_TreeWalker.memo_key``): the id of the window the
-subtree reads (faulty set, crashed sets and history cells), the broken bit,
-the states and the messages in transit.  The stall memo lasts for the whole
-call and the delay memo for one pattern, each for its speed and memory.
+transition input runs ``alg.transition`` once.  Both walkers memoize
+subtrees met on aligned paths that carry no violation, for the whole call,
+in one table per id of the window the subtree reads (faulty set, crashed
+sets and history cells), keyed by the id of its configuration (the broken
+bit, the states and the messages in transit): ``_TreeWalker.memo_key``.
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -996,23 +995,24 @@ class _TreeWalker(_ScheduleTree):
     A subclass states the whole claim: ``theorem``, ``fd``, ``k``, ``wrap``,
     ``derive``, ``map_pattern``, ``membership`` and its clause names, which
     initial states and steps the run mapping changes, the per-step clause
-    checks, the mapping half of the per-node slow-path cross-check, and its
-    memo's lifetime.  The walker adds the path's two observable sequences,
-    each in its own judge: the wrapper run's in ``judge``, and the mapped
-    run's in ``mapped``, one row per step the mapping keeps.  Both judges
-    intern their rows in ``rows``, the call's ``_Rows``.  It also keeps the
-    per-run violations the path carries.  A path on which the two last row
-    ids were always equal is aligned: it stutter-expands the mapped sequence
-    by construction, so ``is_stutter`` runs only off such paths.
+    checks, and the mapping half of the per-node slow-path cross-check.  The
+    walker adds the path's two observable sequences, each in its own judge:
+    the wrapper run's in ``judge``, and the mapped run's in ``mapped``, one
+    row per step the mapping keeps.  Both judges intern their rows in
+    ``rows``, the call's ``_Rows``.  It also keeps the per-run violations the
+    path carries.  A path on which the two last row ids were always equal is
+    aligned: it stutter-expands the mapped sequence by construction, so
+    ``is_stutter`` runs only off such paths.
     ``examples`` (for each of the first ``MAX_RECORDED_FAILURES`` (clause,
     detail) pairs, the document of the first run seen, or ``None`` for a
-    membership clause) lasts for the whole call.  ``memo`` maps a ``memo_key`` to a walked subtree's
-    ``_WalkTotals``, each distinct record kept once in ``subtrees``; it is
-    ``None`` for a ``thorough`` call, or a judge other than the agreement
-    monitor, the one whose verdicts the key's broken bit and states fix.
-    ``windows``, the ids of the windows that keys hold, lasts for the whole
-    call whatever the memo's lifetime, so a key means one subtree throughout
-    the call.
+    membership clause) lasts for the whole call, and so does ``memo``.  It
+    maps a ``memo_key``'s window id to a table from its configuration id to
+    a walked subtree's ``_WalkTotals``, each distinct record kept once in
+    ``subtrees``; it is ``None`` for a ``thorough`` call, or a judge other
+    than the agreement monitor, the one whose verdicts the key's broken bit
+    and states fix.  The ids come from the call's interners: ``windows``
+    (each a column id and the next window's id), ``columns`` and
+    ``configurations``.
     """
 
     theorem: str
@@ -1044,10 +1044,14 @@ class _TreeWalker(_ScheduleTree):
         self.examples: dict[tuple[str, str], dict | None] = {}
         self.rows = _Rows()
         monitored = _monitored(predicate, derived_interp.sigma)
-        self.memo: dict[tuple, _WalkTotals] | None = {} if monitored and not thorough else None
+        self.memo: dict[int, dict[int, _WalkTotals]] | None = (
+            {} if monitored and not thorough else None
+        )
         #: each distinct subtree record the memo stores, kept once for the call
         self.subtrees: dict[tuple, _WalkTotals] = {}
         self.windows = _Interner()
+        self.columns = _Interner()
+        self.configurations = _Interner()
         #: each set of processes as a small int, so that the call's windows
         #: keep no pattern's or history's sets alive
         self.set_ids = {s: i for i, s in enumerate(_sorted_subsets(self.n))}
@@ -1101,43 +1105,46 @@ class _TreeWalker(_ScheduleTree):
         """The memo to consult at this node, or ``None`` to walk it."""
         return self.memo if aligned and not self.sticky else None
 
-    def memo_key(self, t: int, remaining: int) -> tuple:
+    def memo_key(self, t: int, remaining: int) -> tuple[int, int]:
         """What fixes the subtree below time ``t`` on an aligned path that
-        carries no violation, at most ``remaining`` more steps deep.
+        carries no violation, at most ``remaining`` more steps deep: the ids
+        of its window and of its configuration.
 
-        The window id stands for all the subtree reads of its family: the
-        faulty set, which fixes the survivors that the verdicts and the
-        stall clauses read; the crashed sets of times ``t .. t+remaining-1``,
-        which fix who can step; and every history cell of those times, which
-        fixes what each step suspects.  The window's length fixes
-        ``remaining``, and nothing below reads ``t`` or the depth itself: a
-        message's tag is the one thing depth sets, and the key reads
-        messages without it.  The states fix the last row, and with it every
-        later verdict of an unbroken sequence.  The mapped judge's row and
-        bit equal the wrapper judge's, since the memo serves only aligned
-        paths: both sequences start at equal rows, a dropped step repeats
-        the wrapper's last row (and ``_BREAKS[x, x]`` is false), and a kept
-        step makes the same letter change in both.  The messages in transit
-        are keyed as their sorted (sender, receiver, payload) ids.
+        The window holds the faulty set, which fixes the survivors that the
+        verdicts and the stall clauses read; the crashed sets of times
+        ``t .. t+remaining-1``, which fix who can step; and every history
+        cell of those times, which fixes what each step suspects.  Its id
+        chains the id of the column at ``t`` (crashed set and cells) to the
+        window of ``(t+1, remaining-1)``, down to the faulty set alone, so
+        equal ids chain equal sets and the length fixes ``remaining``.
+        Nothing below reads ``t`` or the depth itself: a message's tag is the
+        one thing depth sets, and the key reads messages without it.  The
+        configuration is the broken bit, the states, which fix the last row
+        and with it every later verdict of an unbroken sequence, and the
+        sorted (sender, receiver, payload) ids of the messages in transit.
+        The mapped judge's row and bit equal the wrapper judge's, since the
+        memo serves only aligned paths: both sequences start at equal rows, a
+        dropped step repeats the wrapper's last row (and ``_BREAKS[x, x]`` is
+        false), and a kept step makes the same letter change in both.
         """
         window = self.window_at.get((t, remaining))
         if window is None:
+            ids, crashed, cells = self.set_ids, self.pattern.crashed, self.history.cells
             end = t + remaining
-            ids = self.set_ids
-            window = self.window_at[t, remaining] = self.windows(
-                (
-                    ids[self.faulty],
-                    *[ids[c] for c in self.pattern.crashed[t:end]],
-                    *[ids[cell] for row in self.history.cells for cell in row[t:end]],
-                )
-            )
+            window = self.windows((ids[self.faulty],))
+            for s in range(end - 1, t - 1, -1):
+                column = self.columns((ids[crashed[s]], *[ids[row[s]] for row in cells]))
+                window = self.window_at[s, end - s] = self.windows((column, window))
         triple_of = self.triple_of
-        return (
-            window,
+        configuration = (
             self.judge.broken[-1],
             *self.states,
             *sorted([triple_of[m] for m in self.transit]),
         )
+        key = self.configurations.ids.get(configuration)
+        if key is None:
+            key = self.configurations(configuration)
+        return window, key
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         """Validate the current run's mapped run from scratch and compare
@@ -1218,11 +1225,12 @@ class _TreeWalker(_ScheduleTree):
         """Walk the children at time ``t`` into ``totals``, or credit them
         from the memo that ``memo_view`` returns.
 
-        A memo entry is the subtree's ``_WalkTotals``, clause tally included.
-        A miss walks the children into a fresh record and stores it; a hit
-        and a miss alike end by adding that record to ``totals``.  The
-        memo is consulted only on aligned paths that carry no violation,
-        under ``memo_key``.
+        A memo entry is the subtree's ``_WalkTotals``, clause tally included,
+        stored in the table of the key's window under its configuration.  A
+        miss walks the children into a fresh record and stores it; a hit and
+        a miss alike end by adding that record to ``totals``.  The memo is
+        consulted only on aligned paths that carry no violation, under
+        ``memo_key``.
         """
         depth = len(self.schedule)
         if depth >= self.max_steps or t > self.horizon:
@@ -1231,15 +1239,18 @@ class _TreeWalker(_ScheduleTree):
         if memo is None:
             self.expand_children(totals, t, aligned)
             return
-        key = self.memo_key(t, min(self.max_steps - depth, self.horizon + 1 - t))
-        subtree = memo.get(key)
+        window, configuration = self.memo_key(t, min(self.max_steps - depth, self.horizon + 1 - t))
+        table = memo.get(window)
+        if table is None:
+            table = memo[window] = {}
+        subtree = table.get(configuration)
         if subtree is None:
             subtree = _WalkTotals()
             self.expand_children(subtree, t, aligned)
             # few distinct records recur under many keys: keep one copy of each
             tally = None if subtree.tally is None else tuple(subtree.tally.items())
             record = (subtree.nodes, subtree.violations, subtree.decided, subtree.undecided, tally)
-            subtree = memo[key] = self.subtrees.setdefault(record, subtree)
+            subtree = table[configuration] = self.subtrees.setdefault(record, subtree)
         totals.add(subtree)
 
     def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
@@ -1379,18 +1390,6 @@ class _DasWalker(_TreeWalker):
 
     def map_pattern(self, pattern: FailurePattern) -> FailurePattern:
         return shift_pattern(pattern) if self.time_shift else pattern
-
-    def enter(self, pattern: FailurePattern) -> None:
-        super().enter(pattern)
-        if self.memo is not None:
-            # A key means one subtree for the whole call, so either lifetime
-            # is sound; each claim keeps the one its memory and speed favour.
-            # Measured one process per call, alternating, 3 pairs each on a
-            # 2-vCPU host: a whole-call delay memo ends das-walk with 62,768
-            # entries instead of 440 and peak RSS at 26.3 MB instead of
-            # 19.1 MB; a per-pattern stall memo takes sos-memo from 1.99 s
-            # to 2.92 s (medians).
-            self.memo = {}
 
     def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         shifted = shift_history(history) if self.time_shift else history

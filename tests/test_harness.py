@@ -13,6 +13,7 @@ from fdlab import (
     ConsensusPredicate,
     EnumerationBounds,
     FDSpec,
+    FailurePattern,
     Interpretation,
     StrongConsensusPredicate,
     ValidationMode,
@@ -660,25 +661,45 @@ def _untimed(report) -> dict:
 
 
 class _AuditMemo(dict):
-    """A memo that never hits, so every subtree is walked each time; a
-    store under a key stored before must carry the first store's totals
-    and tally, in the same order."""
+    """A memo of per-window tables that never hit, so every subtree is
+    walked each time.  ``get(window)`` returns the window's table, kept for
+    the audit's life; a store under a configuration stored before in that
+    table must carry the first store's totals and tally, in the same order.
+    ``repeats`` counts such stores across all tables."""
 
     def __init__(self) -> None:
         super().__init__()
         self.repeats = 0
 
-    def get(self, key, default=None):
+    def get(self, window, default=None):
+        table = super().get(window)
+        if table is None:
+            table = self[window] = _AuditTable(self)
+        return table
+
+    def records(self) -> list[tuple]:
+        """The first record stored under each key, across all tables."""
+        return [record for table in self.values() for record in table.values()]
+
+
+class _AuditTable(dict):
+    """One window's table of an ``_AuditMemo``."""
+
+    def __init__(self, memo: _AuditMemo) -> None:
+        super().__init__()
+        self.memo = memo
+
+    def get(self, configuration, default=None):
         return default
 
-    def __setitem__(self, key, subtree) -> None:
+    def __setitem__(self, configuration, subtree) -> None:
         tally = None if subtree.tally is None else tuple(subtree.tally.items())
         record = (subtree.nodes, subtree.violations, subtree.decided, subtree.undecided, tally)
-        if key in self:
-            self.repeats += 1
-            assert self[key] == record, key
+        if configuration in self:
+            self.memo.repeats += 1
+            assert self[configuration] == record, configuration
         else:
-            super().__setitem__(key, record)
+            super().__setitem__(configuration, record)
 
 
 def _sabotaged_sos(alg, interp: Interpretation) -> Interpretation:
@@ -704,7 +725,7 @@ def _sabotaged_step_das(alg, interp: Interpretation) -> Interpretation:
     return derive_interpretation_das(interp, alg).replaced(0, post, wrong)
 
 
-#: n = 3 delay-claim bounds whose memo hits cross histories of one pattern.
+#: n = 3 delay-claim bounds whose memo hits cross histories and patterns.
 #: Its patterns leave process 0 the one survivor, whose decision can rest on
 #: what it suspects, so the history cells a subtree reads change its totals
 DELAY_AUDIT_BOUNDS = EnumerationBounds(
@@ -839,7 +860,7 @@ class TestTheoremChecks:
             )
             verify_sos(alg, interp, predicate, bounds, derived_interp=derived)
             assert audit.repeats > 0
-            assert any(tally for *_, tally in audit.values()) == (derived is not None)
+            assert any(tally for *_, tally in audit.records()) == (derived is not None)
 
     @pytest.mark.parametrize(
         "claim",
@@ -956,8 +977,8 @@ class TestTheoremChecks:
     def test_delay_memo_on_equals_memo_off_at_three_processes(
         self, name: str, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        """The delay memo's hits cross histories and initial states of one
-        pattern; whole reports, clean, sabotaged and unshifted, must not
+        """The delay memo's hits cross histories, initial states and
+        patterns; whole reports, clean, sabotaged and unshifted, must not
         depend on them.  A memo key first looked up under another history
         of the same pattern is such a hit."""
         memo_key = harness._DasWalker.memo_key
@@ -1000,27 +1021,32 @@ class TestTheoremChecks:
                 )
                 _delay_report(name, case, bounds)
                 assert audit.repeats > 0
-                assert any(tally for *_, tally in audit.values()) == (case == "step-letter")
+                assert any(tally for *_, tally in audit.records()) == (case == "step-letter")
 
-    def test_delay_memo_holds_no_key_from_an_earlier_pattern(
+    def test_delay_memo_keeps_each_key_for_the_whole_call(
         self, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        """The delay memo lasts for one pattern, which keeps its memory
-        small, so entering a pattern must leave no key stored under an
-        earlier one."""
-        enter = harness._DasWalker.enter
-        held: list[int] = []
+        """The delay memo lasts for the whole call: each (window,
+        configuration) key misses once, and some hit is on an entry stored
+        while walking an earlier pattern."""
+        memo_key = harness._DasWalker.memo_key
+        stored_in: dict[tuple[int, int], FailurePattern] = {}
+        earlier = missed_again = 0
 
-        def entered(walker, pattern) -> None:
-            before = set(walker.memo)
-            enter(walker, pattern)
-            assert not before & set(walker.memo)
-            held.append(len(before))
+        def spied(walker, t: int, remaining: int) -> tuple[int, int]:
+            nonlocal earlier, missed_again
+            key = window, configuration = memo_key(walker, t, remaining)
+            if configuration in walker.memo.get(window, ()):
+                earlier += stored_in[key] != walker.pattern
+            else:
+                missed_again += key in stored_in
+                stored_in[key] = walker.pattern
+            return key
 
-        monkeypatch.setattr(harness._DasWalker, "enter", entered)
+        monkeypatch.setattr(harness._DasWalker, "memo_key", spied)
         _delay_report("flood-consensus-p", "clean")
-        assert len(held) == len(DELAY_AUDIT_BOUNDS.patterns)
-        assert sum(size > 0 for size in held) > 1
+        assert earlier > 0
+        assert missed_again == 0
 
     def test_delay_claim_refuses_a_lag_past_the_horizon(self) -> None:
         """The wrapper's oracle is accurate after ``k+1``, which must stay

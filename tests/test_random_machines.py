@@ -26,8 +26,11 @@ from hypothesis import given, settings, strategies as st
 from fdlab import (
     ConsensusPredicate,
     EnumerationBounds,
+    FDSpec,
     Interpretation,
     StrongConsensusPredicate,
+    check_solves,
+    counterexample_probe,
     verify_das,
     verify_sos,
 )
@@ -36,7 +39,8 @@ from fdlab.machines import TableAlgorithm
 from fdlab.problems import AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET, ProblemPredicate
 from fdlab.transforms import derive_interpretation_das, derive_interpretation_sos
 
-from .test_harness import _AuditMemo
+from .oracles import reference_report_docs
+from .test_harness import _AuditMemo, _untimed
 
 STATES = ("s0", "s1", "s2", "s3")
 INITIALS = ("s0", "s1")
@@ -118,6 +122,7 @@ def _report(
 SETTINGS = settings(max_examples=6, deadline=None, derandomize=True, database=None)
 TWO = EnumerationBounds(n=2, horizon=2, max_steps=3, history_budget=1)
 THREE = EnumerationBounds(n=3, horizon=2, max_steps=3)
+SOLVES = EnumerationBounds(n=2, horizon=2, max_steps=3, history_budget=1, fairness_window=2)
 
 
 @SETTINGS
@@ -133,8 +138,8 @@ def test_fast_equals_thorough_on_random_machines(machine: Machine) -> None:
 @SETTINGS
 @given(machines(3))
 def test_memo_on_equals_memo_off_on_random_machines(machine: Machine) -> None:
-    """At n = 3 the stall memo hits across patterns and initial states, and
-    the delay memo across window offsets; no report may depend on a hit."""
+    """At n = 3 both memos hit across patterns and window offsets, and the
+    stall memo across initial states too; no report may depend on a hit."""
     cases = [(claim, sabotaged) for claim in DERIVE for sabotaged in (False, True)]
     memoized = [_report(machine, claim, sabotaged, THREE) for claim, sabotaged in cases]
     with pytest.MonkeyPatch.context() as patch:
@@ -159,3 +164,20 @@ def test_equal_memo_keys_mean_equal_subtrees_on_random_machines(machine: Machine
                     lambda self, aligned: None if memo_view(self, aligned) is None else audit,
                 )
                 _report(machine, claim, sabotaged, THREE)
+
+
+@SETTINGS
+@given(machines(2))
+def test_solves_equals_the_reference_scan_on_random_machines(machine: Machine) -> None:
+    """``check_solves``, with and without quiescence, and the probe report
+    what a from-scratch scan of every fair run reports, under both
+    agreement predicates."""
+    alg, interp, fd = machine.alg, machine.interp, FDSpec.always_accurate()
+    for predicate in (ConsensusPredicate(), StrongConsensusPredicate()):
+        lax, quiescent, probe = reference_report_docs(alg, fd, interp, predicate, SOLVES)
+        assert _untimed(check_solves(alg, fd, interp, predicate, SOLVES)) == lax
+        assert (
+            _untimed(check_solves(alg, fd, interp, predicate, SOLVES, require_quiescence=True))
+            == quiescent
+        )
+        assert _untimed(counterexample_probe(alg, fd, interp, predicate, SOLVES)) == probe
