@@ -8,30 +8,31 @@ at consecutive times is a deliberate canonicalization, and is reported as
 such.  Configurations do not depend on times, but what a step suspects does,
 so the offset sweep need not reach every oracle context that a run with an
 internal time gap reads.  Under ``Pk`` with a deviation budget it does not:
-at n=3, horizon 2, 2 steps and budget 1, 72 of the 5,320 time-free step
-sequences of gapped runs under ``Pk:1`` need a history outside the budget
-once their steps are consecutive (budget 2 reaches all of them).
+at n=3, horizon 2, 2 steps and budget 1 under ``Pk:1``, 216 of the 13,568
+gapped runs, taken without their times, are not enumerated.  Budget 2 reaches
+none of them on its own pattern, only on another with the same survivors.
 
 On top of the enumerator sit ``check_solves`` and ``counterexample_probe``:
-does an algorithm solve a problem over all fair bounded runs?  Both read one
-scan that yields each strict-fairness run with its verdict (decided,
-undecided or fail); the first tallies the verdicts, the second stops at the
-first failure.  Fairness is decided in the schedule tree as it is walked,
-and each run's verdict comes from the judge it shares with the previous run,
-which holds the run's observable rows, so no run is re-interpreted from its
-initial states.  ``verify_sos`` / ``verify_das`` check that the stall and
-delay wrappers preserve solvability, clause by clause on every run.  All of
-them expand the same schedule trees, one tree per call that enters each
-pattern once and is re-rooted at each of its families.  Each preservation
-claim is one walker class that states the whole claim and adds incremental
-per-step checks; one walker serves a call, and ``_verify_claim`` takes it
-over patterns, history groups and initial states.  A tree interns local
-states, messages and observable rows as small ints for its call, so each
-transition input runs ``alg.transition`` once.  Both walkers memoize
-subtrees met on aligned paths that carry no violation, for the whole call,
-in one table per id of the window the subtree reads (faulty set, crashed
-sets and history cells), keyed by the id of its configuration (the broken
-bit, the states and the messages in transit): ``_TreeWalker.memo_key``.
+does an algorithm solve a problem over all fair bounded runs?  Both report one
+scan, which tallies the verdict (decided, undecided or fail) of each
+strict-fairness run and keeps the first run that the report counts as a
+violation; the probe has it stop there.  Fairness is decided in the schedule
+tree as it is walked, and each run's verdict comes from the judge it shares
+with the previous run, which holds the run's observable rows, so no run is
+re-interpreted from its initial states.  ``verify_sos`` / ``verify_das`` check
+that the stall and delay wrappers preserve solvability, clause by clause on
+every run.  All of them expand the same schedule trees, one tree per call that
+enters each pattern once and is re-rooted at each of its families.  Each
+preservation claim is one walker class that states the whole claim and adds
+incremental per-step checks; one walker serves a call, and ``_verify_claim``
+takes it over patterns, history groups and initial states.  A tree interns
+local states, messages and observable rows as small ints for its call, and
+keeps one step table for it: each edge runs ``alg.transition`` once, on its
+first visit, and equal post states are one object.  Both walkers memoize
+subtrees met on aligned paths that carry no violation, for the whole call, in
+one table per id of the window the subtree reads (faulty set, crashed sets and
+history cells), keyed by the id of its configuration (the broken bit, the
+states and the messages in transit): ``_TreeWalker.memo_key``.
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -117,12 +118,18 @@ RUN_CAP_ENV_VAR = "FDLAB_RUN_CAP"
 #: At most this many distinct failure entries are kept per report.
 MAX_RECORDED_FAILURES = 20
 
-#: Canonicalization notes attached to every enumeration-backed report.
-CANONICALIZATION_NOTES = (
+#: The canonicalization note of every enumeration-backed report.
+SWEEP_NOTE = (
     "schedule times are consecutive within a window; every feasible window "
-    "offset is swept, runs with internal time gaps are not enumerated",
+    "offset is swept, runs with internal time gaps are not enumerated; under "
+    "Pk with a deviation budget, which gapped runs the sweep covers depends "
+    "on the budget"
+)
+#: The further note of a theorem report, whose walk serves a history group.
+GROUPING_NOTE = (
     "histories deviating from the canonical one only at cells no live process "
-    "reads share one schedule tree; memberships are still checked per history",
+    "reads share one schedule tree; one exact membership check serves each "
+    "such group"
 )
 
 
@@ -322,16 +329,14 @@ class _ScheduleTree:
     steps sit at consecutive times from the window ``offset`` that the walk
     sets.  Local states (``state_ids``), messages (``message_ids``, each with
     its receiver in ``receiver_of`` and the id of its (sender, receiver,
-    payload) triple in ``triple_of``) are interned per call.
-    ``successors`` maps each transition input ``(actor, state id,
-    transmission, suspects)`` to ``None`` or ``(post id, dispatch)``, so
-    ``alg.transition`` runs once per input and equal post states are one
-    object.  ``steps``, the call's step table, maps each edge ``(actor, pre
-    id, received id, suspects, depth)`` to ``None`` (no step enabled) or to
-    ``(step, facts, post id, sent id)``: the ``Step`` taken there, its
-    ``step_facts``, and the ids the path takes on.  A sent message's tag is
-    ``depth * n + actor``, so the key fixes the step.  Each ``Step`` and
-    ``Message`` is built on its edge's first visit and shared after that.
+    payload) triple in ``triple_of``) are interned per call.  ``steps``,
+    the call's step table, maps each edge ``(actor, pre id, received id,
+    suspects, depth)`` to ``None`` (no step enabled) or to ``(step, facts,
+    post id, sent id)``: the ``Step`` taken there, its ``step_facts``, and
+    the ids the path takes on.  A sent message's tag is ``depth * n +
+    actor``, so the key fixes the step.  Each ``Step`` and ``Message`` is
+    built on its edge's first visit and shared after that, and post states
+    are interned, so equal post states are one object.
     """
 
     def __init__(self, alg: Algorithm, max_steps: int):
@@ -343,7 +348,6 @@ class _ScheduleTree:
         self.triple_ids = _Interner()
         self.receiver_of: list[int] = []
         self.triple_of: list[int] = []
-        self.successors: dict[tuple, tuple[int, tuple[int, str] | None] | None] = {}
         self.steps: dict[tuple, tuple[Step, object, int, int | None] | None] = {}
 
     def enter(self, pattern: FailurePattern) -> None:
@@ -375,18 +379,11 @@ class _ScheduleTree:
         """The step table's entry for an edge, built on its first visit."""
         message = None if received is None else self.message_ids.values[received]
         transmission = None if message is None else message.transmission()
-        key = (actor, pre, transmission, suspects)
-        try:
-            successor = self.successors[key]
-        except KeyError:
-            states = self.state_ids
-            result = self.alg.transition(actor, states.values[pre], transmission, suspects)
-            successor = self.successors[key] = (
-                None if result is None else (states(result[0]), result[1])
-            )
-        if successor is None:
+        states = self.state_ids
+        result = self.alg.transition(actor, states.values[pre], transmission, suspects)
+        if result is None:
             return None
-        post, dispatch = successor
+        post, dispatch = states(result[0]), result[1]
         sent = sent_message = None
         if dispatch is not None:
             messages = self.message_ids
@@ -395,7 +392,7 @@ class _ScheduleTree:
             if sent == len(self.receiver_of):
                 self.receiver_of.append(sent_message.receiver)
                 self.triple_of.append(self.triple_ids(sent_message[:3]))
-        values = self.state_ids.values
+        values = states.values
         step = Step(actor, values[pre], message, suspects, values[post], sent_message)
         return step, self.step_facts(step), post, sent
 
@@ -634,15 +631,19 @@ def _judge(
     return _Judge(letters, predicate, pattern, table)
 
 
-def _fair_verdicts(
+def _fair_scan(
     alg: Algorithm,
     fd: FDSpec,
     interp: Interpretation,
     predicate: ProblemPredicate,
     strict_bounds: EnumerationBounds,
-) -> Iterator[tuple[Run, str]]:
-    """Each fair run within the strict-mode bounds, in enumeration order,
-    with its verdict.
+    failing: set[str],
+    stop: bool,
+) -> tuple[dict[str, int], Run | None]:
+    """Judge each fair run within the strict-mode bounds, in enumeration
+    order: the tally of verdicts ('decided', 'undecided', 'fail') and the
+    first run whose verdict is in ``failing``, or ``None``.  With ``stop``,
+    the scan ends at that run, which the tally then counts last.
 
     Consecutive runs share a schedule prefix, so the judge of the previous
     run is kept: per run, only the steps after the longest prefix of
@@ -657,6 +658,8 @@ def _fair_verdicts(
     interp.check_initial_cover(alg.initial_states)
     of = interp.of
     table = _Rows()
+    counts = {"decided": 0, "undecided": 0, "fail": 0}
+    first: Run | None = None
     pattern = history = init = None
     steps: tuple[Step, ...] = ()
     for run in enumerate_runs(alg, fd, strict_bounds):
@@ -675,9 +678,15 @@ def _fair_verdicts(
         for step in schedule[keep:]:
             judge.push(step.actor, of(step.actor, step.post))
         steps = schedule
-        yield run, judge.classify()
+        verdict = judge.classify()
+        counts[verdict] += 1
+        if first is None and verdict in failing:
+            first = run
+            if stop:
+                break
     if pattern is None:
         raise DomainMismatch("the bounds admit no fair run")
+    return counts, first
 
 
 @dataclass
@@ -696,7 +705,7 @@ class SolvesReport:
     require_quiescence: bool
     counterexample: dict | None
     elapsed_seconds: float
-    canonicalizations: tuple[str, ...] = CANONICALIZATION_NOTES
+    canonicalizations: tuple[str, ...] = (SWEEP_NOTE,)
 
     def to_dict(self) -> dict:
         return {
@@ -734,13 +743,8 @@ def check_solves(
     """
     t0 = time.perf_counter()
     strict_bounds = replace(bounds, mode=ValidationMode.STRICT_FAIRNESS)
-    counts = {"decided": 0, "undecided": 0, "fail": 0}
     failing = {"fail", "undecided"} if require_quiescence else {"fail"}
-    counterexample: dict | None = None
-    for run, verdict in _fair_verdicts(alg, fd, interp, predicate, strict_bounds):
-        counts[verdict] += 1
-        if counterexample is None and verdict in failing:
-            counterexample = run_to_doc(run, alg)
+    counts, first = _fair_scan(alg, fd, interp, predicate, strict_bounds, failing, stop=False)
     violations = sum(counts[verdict] for verdict in failing)
     return SolvesReport(
         algorithm=alg.name,
@@ -753,7 +757,7 @@ def check_solves(
         undecided_runs=counts["undecided"],
         violation_count=violations,
         require_quiescence=require_quiescence,
-        counterexample=counterexample,
+        counterexample=None if first is None else run_to_doc(first, alg),
         elapsed_seconds=time.perf_counter() - t0,
     )
 
@@ -800,13 +804,8 @@ def counterexample_probe(
     (undecided runs never count), or a report that none exists."""
     t0 = time.perf_counter()
     strict_bounds = replace(bounds, mode=ValidationMode.STRICT_FAIRNESS)
-    checked = 0
-    found: Run | None = None
-    for run, verdict in _fair_verdicts(alg, fd, interp, predicate, strict_bounds):
-        checked += 1
-        if verdict == "fail":
-            found = run
-            break
+    counts, found = _fair_scan(alg, fd, interp, predicate, strict_bounds, {"fail"}, stop=True)
+    checked = sum(counts.values())
     return ProbeReport(
         algorithm=alg.name,
         fd=fd.serialize(),
@@ -881,7 +880,7 @@ class TheoremReport:
     undecided_runs: int
     thorough: bool
     elapsed_seconds: float
-    canonicalizations: tuple[str, ...] = CANONICALIZATION_NOTES
+    canonicalizations: tuple[str, ...] = (SWEEP_NOTE, GROUPING_NOTE)
 
     @property
     def ok(self) -> bool:

@@ -4,9 +4,10 @@ Everything here is deliberately slow and structurally independent of the
 library's own algorithms: the stutter oracle explores single-insertion chains
 breadth-first instead of using the dynamic program, and the run oracle builds
 schedules by unguided syntactic search and keeps whatever ``validate_run``
-accepts instead of generating only legal steps, and the solvability scan
-re-validates and re-interprets every run from scratch instead of following
-the schedule tree.  The history references judge and build histories
+accepts instead of generating only legal steps (with ``gaps``, at any
+increasing step times, to show what the offset sweep covers), and the
+solvability scan re-validates and re-interprets every run from scratch
+instead of following the schedule tree.  The history references judge and build histories
 with the oracle classes as first written, one function per class, build
 every candidate variant and re-judge it whole, and group histories by their
 values on every live cell.
@@ -356,8 +357,11 @@ def _all_schedules(
     start: int,
     horizon: int,
     max_steps: int,
+    gaps: bool = False,
 ) -> Iterator[tuple[tuple[Step, ...], tuple[int, ...]]]:
-    """Depth-first syntactic search over schedules with consecutive times."""
+    """Depth-first syntactic search over schedules with consecutive times
+    from ``start``, or with ``gaps``, at any strictly increasing times from
+    ``start`` on."""
     n = alg.n
 
     def walk(
@@ -367,10 +371,11 @@ def _all_schedules(
         times: tuple[int, ...],
     ) -> Iterator[tuple[tuple[Step, ...], tuple[int, ...]]]:
         yield schedule, times
-        t = start + len(schedule)
-        if len(schedule) >= max_steps or t > horizon:
+        if len(schedule) >= max_steps:
             return
-        for actor in range(n):
+        first = times[-1] + 1 if times else start
+        last = horizon if gaps else min(first, horizon)
+        for t, actor in product(range(first, last + 1), range(n)):
             receipts: list[Message | None] = [None] + [
                 m for m in pending if m.receiver == actor
             ]
@@ -400,6 +405,46 @@ def _all_schedules(
                 yield from walk(next_states, next_pending, schedule + (step,), times + (t,))
 
     yield from walk(init, (), (), ())
+
+
+def time_free(run: Run) -> tuple:
+    """What a run is without its times: its pattern, its initial states, and
+    per step the actor, pre state, received transmission, suspects, post
+    state and dispatch."""
+    return (
+        run.pattern,
+        run.init,
+        tuple(
+            (
+                step.actor,
+                step.pre,
+                None if step.received is None else step.received.transmission(),
+                step.suspects,
+                step.post,
+                None if step.sent is None else (step.sent.receiver, step.sent.payload),
+            )
+            for step in run.schedule
+        ),
+    )
+
+
+def gapped_projections(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> set[tuple]:
+    """The ``time_free`` projection of every prefix-consistent run within
+    bounds whose step times are any strictly increasing points up to the
+    horizon: candidates from the syntactic search with gaps, kept when
+    ``validate_run`` accepts them."""
+    patterns = bounds.patterns or all_monotone_patterns(bounds.n, bounds.horizon)
+    out: set[tuple] = set()
+    for pattern in patterns:
+        for history in perturbed_histories(fd, pattern, bounds.history_budget):
+            for init in init_combinations(alg):
+                for schedule, times in _all_schedules(
+                    alg, history, init, 0, bounds.horizon, bounds.max_steps, gaps=True
+                ):
+                    run = Run(pattern, history, init, schedule, times)
+                    if validate_run(run, alg, fd, ValidationMode.PREFIX_CONSISTENT).valid:
+                        out.add(time_free(run))
+    return out
 
 
 def reference_fair_verdicts(

@@ -47,9 +47,11 @@ from fdlab.transforms import (
 
 from .oracles import (
     PlantedLengthSensitive,
+    gapped_projections,
     reference_history_groups,
     reference_perturbed_histories,
     reference_report_docs,
+    time_free,
 )
 
 ALG, INTERP, PREDICATE = builtin_algorithm("flood-consensus-p", 2)
@@ -420,6 +422,38 @@ class TestEnumerateRuns:
                 ]
 
 
+class TestGappedRuns:
+    """What the offset sweep covers of runs whose steps leave time gaps,
+    each run taken without its times (``time_free``).  Every enumerated run
+    is a gapped-reference run.  At two processes the sweep reaches every
+    gapped run; at three, under ``Pk`` with budget 1, it does not."""
+
+    @pytest.mark.parametrize("spec", ["P", "M", "Pk:1"])
+    def test_the_sweep_reaches_every_gapped_run_at_two_processes(self, spec: str) -> None:
+        fd = FDSpec.parse(spec)
+        bounds = EnumerationBounds(n=2, horizon=2, max_steps=2, history_budget=1)
+        engine = {time_free(run) for run in enumerate_runs(ALG, fd, bounds)}
+        assert engine == gapped_projections(ALG, fd, bounds)
+
+    def test_a_gap_can_need_a_history_outside_the_budget(self) -> None:
+        """Process 1 crashes at time 1 and process 2 at time 2.  48 of the
+        pattern's 384 gapped runs read oracle contexts that no consecutive
+        placement reaches within budget 1, and budget 2 on the same pattern
+        reaches none of them either."""
+        alg, _, _ = builtin_algorithm("flood-consensus-p", 3)
+        fd = FDSpec.accurate_after(1)
+        pattern = FailurePattern(3, 2, (frozenset(), frozenset({1}), frozenset({1, 2})))
+        bounds = EnumerationBounds(
+            n=3, horizon=2, max_steps=2, history_budget=1, patterns=(pattern,)
+        )
+        gapped = gapped_projections(alg, fd, bounds)
+        engine = {time_free(run) for run in enumerate_runs(alg, fd, bounds)}
+        assert (len(gapped), len(engine)) == (384, 336)
+        assert engine < gapped
+        wider = replace(bounds, history_budget=2)
+        assert not (gapped - engine) & {time_free(run) for run in enumerate_runs(alg, fd, wider)}
+
+
 def _recorded(monkeypatch: pytest.MonkeyPatch) -> list[harness._ScheduleTree]:
     """The schedule trees (walkers included) that later calls build."""
     trees: list[harness._ScheduleTree] = []
@@ -562,6 +596,12 @@ class TestCheckSolves:
         assert d["kind"] == "solves"
         assert d["fd"] == "P"
         assert d["bounds"]["mode"] == "strict-fairness"
+        assert d["canonicalizations"] == [
+            "schedule times are consecutive within a window; every feasible window "
+            "offset is swept, runs with internal time gaps are not enumerated; under "
+            "Pk with a deviation budget, which gapped runs the sweep covers depends "
+            "on the budget"
+        ]
         assert canonical_json(d)
 
 
@@ -1065,7 +1105,15 @@ class TestTheoremChecks:
         assert d["theorem"] == "sos-preservation"
         assert d["fd"] == "M"
         assert d["failures"] == []
-        assert len(d["canonicalizations"]) == 2
+        assert d["canonicalizations"] == [
+            "schedule times are consecutive within a window; every feasible window "
+            "offset is swept, runs with internal time gaps are not enumerated; under "
+            "Pk with a deviation budget, which gapped runs the sweep covers depends "
+            "on the budget",
+            "histories deviating from the canonical one only at cells no live process "
+            "reads share one schedule tree; one exact membership check serves each "
+            "such group",
+        ]
         assert canonical_json(d)
 
     def test_delay_report_names_the_shifted_oracle(self) -> None:

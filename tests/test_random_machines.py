@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from fdlab import (
     ConsensusPredicate,
@@ -119,7 +119,15 @@ def _report(
     return doc
 
 
-SETTINGS = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+# A machine is drawn from one seed, and a smaller seed is no smaller machine,
+# so shrinking would only delay the report of the first failing machine.
+SETTINGS = settings(
+    max_examples=6,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 TWO = EnumerationBounds(n=2, horizon=2, max_steps=3, history_budget=1)
 THREE = EnumerationBounds(n=3, horizon=2, max_steps=3)
 SOLVES = EnumerationBounds(n=2, horizon=2, max_steps=3, history_budget=1, fairness_window=2)
