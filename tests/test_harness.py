@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -742,6 +743,237 @@ class _AuditTable(dict):
             super().__setitem__(configuration, record)
 
 
+class _ReadSetAudit:
+    """A memo that never hits and checks, on every miss, that the subtree
+    walk reads only what the key fixes.
+
+    The pattern, the history and the tree position are wrapped in recording
+    proxies for the whole call.  A miss opens a frame: its time ``t``, from
+    the ``memo_key`` call just before, and its key decoded through the
+    call's interners into the sets it holds, so a wrong key is judged by its
+    own contents.  Until the subtree is stored, each read is checked
+    against every open frame: crashed sets and history cells only at times
+    ``t .. t+remaining-1``, equal to the key's; the faulty set (through
+    ``faulty``, ``correct`` or a verdict) only if the key holds it; the
+    depth only where the step bound or a message tag needs it; and the
+    offset not at all.  Run documents are built outside the check.  ``misses``
+    counts the frames, ``reads`` the reads checked.
+    """
+
+    #: where a subtree walk may read its depth: the step bound and tags
+    DEPTH_READERS = frozenset({"children", "expand"})
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self.frames: list[tuple[int, int, frozenset | None, list]] = []
+        self.table = _ReadSetTable(self)
+        self.pending: tuple[int, tuple[int, int]] | None = None
+        self.suspended = 0
+        self.misses = self.reads = 0
+        self.walker = None
+        audit = self
+        walker_type = harness._TreeWalker
+        memo_key, memo_view = walker_type.memo_key, walker_type.memo_view
+        enter, start, run = walker_type.enter, walker_type.start, walker_type.run
+
+        def spied_key(walker, t: int, remaining: int) -> tuple[int, int]:
+            key = memo_key(walker, t, remaining)
+            audit.pending = (t, key)
+            return key
+
+        def recording_enter(walker, pattern) -> None:
+            enter(walker, pattern)
+            audit.walker = walker
+            walker.pattern = _Recorded(pattern, audit)
+            walker.faulty = _RecordedSet(walker.faulty, audit)
+
+        def recording_start(walker, history, init) -> None:
+            start(walker, history, init)
+            walker.history = _RecordedHistory(history, audit)
+            walker.schedule = _RecordedList(walker.schedule, audit)
+
+        def unrecorded_run(walker):
+            audit.suspended += 1
+            pattern, history = walker.pattern, walker.history
+            walker.pattern, walker.history = pattern.real, history.real
+            try:
+                return run(walker)
+            finally:
+                walker.pattern, walker.history = pattern, history
+                audit.suspended -= 1
+
+        def offset_get(walker) -> int:
+            audit.read("offset", sys._getframe(1).f_code.co_name)
+            return walker.__dict__["_offset"]
+
+        def offset_set(walker, value: int) -> None:
+            walker.__dict__["_offset"] = value
+
+        monkeypatch.setattr(walker_type, "memo_key", spied_key)
+        monkeypatch.setattr(
+            walker_type,
+            "memo_view",
+            lambda walker, aligned: None if memo_view(walker, aligned) is None else self,
+        )
+        monkeypatch.setattr(walker_type, "enter", recording_enter)
+        monkeypatch.setattr(walker_type, "start", recording_start)
+        monkeypatch.setattr(walker_type, "run", unrecorded_run)
+        monkeypatch.setattr(walker_type, "offset", property(offset_get, offset_set), raising=False)
+        for judge_type in (harness._Judge, harness._AgreementMonitor):
+            classify = judge_type.classify
+            monkeypatch.setattr(
+                judge_type,
+                "classify",
+                lambda judge, classify=classify: audit.read("faulty") or classify(judge),
+            )
+
+    # -- the memo's interface: one table per window, which never hits ---------
+
+    def get(self, window: int, default=None) -> "_ReadSetTable":
+        return self.table
+
+    def open(self) -> None:
+        """Open the frame of the miss whose key ``memo_key`` just returned."""
+        t, (window, configuration) = self.pending
+        walker = self.walker
+        sets = _set_decoder(walker)
+        columns: list[tuple] = []
+        value = walker.windows.values[window]
+        while len(value) == 2:
+            columns.append(walker.columns.values[value[0]])
+            value = walker.windows.values[value[1]]
+        faulty = sets(value[0]) if value else None
+        decoded = []
+        for column in columns:
+            crashed = sets(column[0]) if len(column) == walker.n + 1 else None
+            decoded.append((crashed, tuple(sets(c) for c in column[-walker.n :])))
+        self.frames.append((t, len(columns), faulty, decoded))
+        self.misses += 1
+
+    # -- reads -----------------------------------------------------------------
+
+    def read(self, kind: str, *where) -> None:
+        """Check one read against every open frame."""
+        if self.suspended or not self.frames:
+            return
+        self.reads += 1
+        walker = self.walker
+        for t, remaining, faulty, decoded in self.frames:
+            if kind == "faulty":
+                assert faulty == walker.pattern.real.faulty(), "faulty set read, not in the key"
+            elif kind == "depth":
+                assert where[0] in self.DEPTH_READERS, f"depth read by {where[0]}"
+            elif kind == "offset":
+                raise AssertionError(f"offset read by {where[0]} in a memoized walk")
+            else:
+                s = where[-1]
+                assert t <= s < t + remaining, f"{kind} read at {s}, window {t}..{t + remaining - 1}"
+                crashed, cells = decoded[s - t]
+                if kind == "crashed":
+                    assert crashed == walker.pattern.real.crashed[s], f"crashed set at {s}"
+                else:
+                    p = where[0]
+                    assert cells[p] == walker.history.real.cells[p][s], f"cell ({p}, {s})"
+
+
+class _ReadSetTable:
+    """A window's table of a ``_ReadSetAudit``: a lookup opens a frame and
+    misses, and the store after the subtree's walk closes it."""
+
+    def __init__(self, audit: _ReadSetAudit) -> None:
+        self.audit = audit
+
+    def get(self, configuration, default=None):
+        self.audit.open()
+        return default
+
+    def __setitem__(self, configuration, subtree) -> None:
+        self.audit.frames.pop()
+
+
+def _set_decoder(walker):
+    ids = walker.set_ids
+    values = getattr(ids, "values", None)
+    if isinstance(values, list):
+        return values.__getitem__
+    inverse = {i: s for s, i in ids.items()}
+    return inverse.__getitem__
+
+
+class _Recorded:
+    """A failure pattern whose reads are checked by the audit."""
+
+    def __init__(self, real, audit: _ReadSetAudit) -> None:
+        self.real, self.audit = real, audit
+        self.n, self.horizon = real.n, real.horizon
+        self.crashed = _RecordedRow(real.crashed, audit, "crashed")
+
+    def crashed_at(self, t: int) -> frozenset:
+        self.audit.read("crashed", t)
+        return self.real.crashed[t]
+
+    def faulty(self) -> frozenset:
+        self.audit.read("faulty")
+        return self.real.faulty()
+
+    def correct(self) -> frozenset:
+        self.audit.read("faulty")
+        return self.real.correct()
+
+
+class _RecordedRow(tuple):
+    """Sets by time, each read checked by the audit."""
+
+    def __new__(cls, row, audit: _ReadSetAudit, kind: str, *where):
+        recorded = super().__new__(cls, row)
+        recorded.audit, recorded.kind, recorded.where = audit, kind, where
+        return recorded
+
+    def __getitem__(self, s):
+        self.audit.read(self.kind, *self.where, s)
+        return super().__getitem__(s)
+
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
+
+
+class _RecordedHistory:
+    """A history whose cells are read through ``_RecordedRow``s."""
+
+    def __init__(self, real, audit: _ReadSetAudit) -> None:
+        self.real = real
+        self.n, self.horizon = real.n, real.horizon
+        self.cells = tuple(_RecordedRow(row, audit, "cell", p) for p, row in enumerate(real.cells))
+
+
+class _RecordedSet(frozenset):
+    """The faulty set, each membership test checked by the audit."""
+
+    def __new__(cls, real: frozenset, audit: _ReadSetAudit):
+        recorded = super().__new__(cls, real)
+        recorded.audit = audit
+        return recorded
+
+    def __contains__(self, p) -> bool:
+        self.audit.read("faulty")
+        return super().__contains__(p)
+
+    def __hash__(self) -> int:
+        self.audit.read("faulty")
+        return super().__hash__()
+
+
+class _RecordedList(list):
+    """The path, whose length (the depth) is read only where allowed."""
+
+    def __init__(self, real: list, audit: _ReadSetAudit) -> None:
+        super().__init__(real)
+        self.audit = audit
+
+    def __len__(self) -> int:
+        self.audit.read("depth", sys._getframe(1).f_code.co_name)
+        return super().__len__()
+
+
 def _sabotaged_sos(alg, interp: Interpretation) -> Interpretation:
     """Criterion 3's sabotage: one stall state shows the wrong letter."""
     q = alg.initial_states(0)[0]
@@ -786,6 +1018,11 @@ DELAY_SABOTAGES = {"delay-letter": _sabotaged_das, "step-letter": _sabotaged_ste
 #: horizon, over every pattern, so that patterns which share a window's
 #: crashed sets and history cells but not their faulty set meet there
 DELAY_SHORT_BOUNDS = EnumerationBounds(n=3, horizon=2, max_steps=2, history_budget=1)
+
+
+#: n = 3 bounds small enough to walk every subtree the memos would serve
+#: under the read-set audit
+READ_SET_BOUNDS = EnumerationBounds(n=3, horizon=2, max_steps=2)
 
 
 def _delay_report(name: str, case: str, bounds: EnumerationBounds = DELAY_AUDIT_BOUNDS) -> dict:
@@ -1087,6 +1324,21 @@ class TestTheoremChecks:
         _delay_report("flood-consensus-p", "clean")
         assert earlier > 0
         assert missed_again == 0
+
+    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
+    def test_memoized_walks_read_only_what_their_keys_fix(
+        self, name: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Every subtree the memos would store reads only what its key fixes
+        (``_ReadSetAudit``), for both claims, clean and sabotaged."""
+        alg, interp, predicate = builtin_algorithm(name, 3)
+        audit = _ReadSetAudit(monkeypatch)
+        for derived in (None, _sabotaged_sos(alg, interp)):
+            verify_sos(alg, interp, predicate, READ_SET_BOUNDS, derived_interp=derived)
+        for case in ("clean", "step-letter"):
+            _delay_report(name, case, READ_SET_BOUNDS)
+        assert not audit.frames
+        assert audit.misses > 0 and audit.reads > 0
 
     def test_delay_claim_refuses_a_lag_past_the_horizon(self) -> None:
         """The wrapper's oracle is accurate after ``k+1``, which must stay

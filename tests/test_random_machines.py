@@ -10,7 +10,7 @@ checked under both claims with its derived interpretation, and again with
 one letter of it changed, at any state, so that failures reach subtrees the
 memos serve.  The fast report must equal the thorough one, the report with
 memos the one without, and every subtree the memos would serve the first one
-walked under its key.  The search is seeded and bounded, so every run of the
+walked under its key, and read only what its key fixes.  The search is seeded and bounded, so every run of the
 suite tries the same machines.
 """
 
@@ -40,7 +40,7 @@ from fdlab.problems import AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET, Probl
 from fdlab.transforms import derive_interpretation_das, derive_interpretation_sos
 
 from .oracles import reference_report_docs
-from .test_harness import _AuditMemo, _untimed
+from .test_harness import READ_SET_BOUNDS, _AuditMemo, _ReadSetAudit, _untimed
 
 STATES = ("s0", "s1", "s2", "s3")
 INITIALS = ("s0", "s1")
@@ -189,3 +189,18 @@ def test_solves_equals_the_reference_scan_on_random_machines(machine: Machine) -
             == quiescent
         )
         assert _untimed(counterexample_probe(alg, fd, interp, predicate, SOLVES)) == probe
+
+
+@SETTINGS
+@given(machines(3))
+def test_memoized_walks_read_only_what_their_keys_fix_on_random_machines(
+    machine: Machine,
+) -> None:
+    """Every subtree a memo would store reads only what its key fixes, for
+    both claims, clean and sabotaged (see ``_ReadSetAudit``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        audit = _ReadSetAudit(patch)
+        for claim in DERIVE:
+            for sabotaged in (False, True):
+                _report(machine, claim, sabotaged, READ_SET_BOUNDS)
+    assert not audit.frames
