@@ -21,18 +21,19 @@ tree as it is walked, and each run's verdict comes from the judge it shares
 with the previous run, which holds the run's observable rows, so no run is
 re-interpreted from its initial states.  ``verify_sos`` / ``verify_das`` check
 that the stall and delay wrappers preserve solvability, clause by clause on
-every run.  All of them expand the same schedule trees, one tree per call that
+every run.  All of them walk the same schedule trees, one tree per call that
 enters each pattern once and is re-rooted at each of its families.  Each
 preservation claim is one walker class that states the whole claim and adds
 incremental per-step checks; one walker serves a call, and ``_verify_claim``
-takes it over patterns, history groups and initial states.  A tree interns
-local states, messages and observable rows as small ints for its call, and
-keeps one step table for it: each edge runs ``alg.transition`` once, on its
-first visit, and equal post states are one object.  Both walkers memoize
-subtrees met on aligned paths that carry no violation, for the whole call, in
-one table per id of the window the subtree reads (faulty set, crashed sets and
-history cells), keyed by the id of its configuration (the broken bit, the
-states and the messages in transit): ``_TreeWalker.memo_key``.
+takes it over patterns, history groups and initial states.  A tree's nodes
+are configurations without message tags, interned per call, and it keeps one
+child table for the call: a node's children under one time's column (crashed
+set and history cells) are built once, each transition input runs
+``alg.transition`` once, and equal post states are one object.  ``Step``s
+exist only for runs.  Both walkers memoize subtrees met on aligned paths that
+carry no violation, for the whole call, in one table per id of the window the
+subtree reads (faulty set and columns) and broken bit, keyed by the node id of
+the configuration with its transit sorted: ``_TreeWalker.memo_key``.
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from math import comb, prod
 from typing import Iterator
@@ -66,7 +67,6 @@ from .model import (
     Run,
     State,
     Step,
-    _sorted_subsets,
     all_monotone_patterns,
     own_state_views,
 )
@@ -183,17 +183,11 @@ class EnumerationBounds:
         raise DomainMismatch(f"{RUN_CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "horizon": self.horizon,
-            "max_steps": self.max_steps,
-            "history_budget": self.history_budget,
-            "mode": self.mode.value,
-            "fairness_window": self.fairness_window,
-            "patterns": None if self.patterns is None else len(self.patterns),
-            "inits": None if self.inits is None else len(self.inits),
-            "run_cap": self.resolved_cap(),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(mode=self.mode.value, run_cap=self.resolved_cap())
+        for name in ("patterns", "inits"):
+            doc[name] = None if doc[name] is None else len(doc[name])
+        return doc
 
 
 def init_combinations(alg: Algorithm) -> tuple[tuple[State, ...], ...]:
@@ -319,176 +313,236 @@ class _Interner:
         return i
 
 
+def _moved(transit: tuple, position: int | None, sent) -> tuple:
+    """``transit`` without its entry at ``position`` and with ``sent``
+    appended, each where it is not ``None``."""
+    if position is not None:
+        transit = transit[:position] + transit[position + 1 :]
+    return transit if sent is None else transit + (sent,)
+
+
 class _ScheduleTree:
     """The schedule trees of one call, one (pattern, history, initial states)
-    family at a time.
+    family at a time, over one graph of configurations.
 
-    ``enter`` sets the pattern of the families that ``start`` then roots the
-    tree at.  The tree holds the current path: per-process state ids, the
-    ids of the messages in transit (in send order) and the schedule, whose
-    steps sit at consecutive times from the window ``offset`` that the walk
-    sets.  Local states (``state_ids``), messages (``message_ids``, each with
-    its receiver in ``receiver_of`` and the id of its (sender, receiver,
-    payload) triple in ``triple_of``) are interned per call.  ``steps``,
-    the call's step table, maps each edge ``(actor, pre id, received id,
-    suspects, depth)`` to ``None`` (no step enabled) or to ``(step, facts,
-    post id, sent id)``: the ``Step`` taken there, its ``step_facts``, and
-    the ids the path takes on.  A sent message's tag is ``depth * n +
-    actor``, so the key fixes the step.  Each ``Step`` and ``Message`` is
-    built on its edge's first visit and shared after that, and post states
-    are interned, so equal post states are one object.
+    A node is a configuration without message tags: the local state ids,
+    then the ids of the (sender, receiver, payload) triples in transit in
+    send order, interned in ``nodes``; ``sorted_of`` maps it to the node
+    with its transit sorted, which the memo keys on.  ``roots`` holds one
+    node per initial-state choice of ``inits``.  ``enter`` sets the pattern
+    of the families that ``start`` roots the tree at; a new history interns
+    each time's column (crashed set and cells, as ``set_ids``) in
+    ``column_at``.  The path is ``path``, the facts of its edges, whose
+    steps sit at consecutive times from the window ``offset``.
+
+    ``table`` maps a column id and a node id to the node's child entries,
+    flat, two slots each: the child's node id (``None`` for a leaf, which
+    is not interned) and the edge's facts, ``(actor, position of the
+    received triple or None, post id, sent triple id or None,
+    *step_facts)``.  ``transitions`` maps each (actor, pre id, received
+    triple id, suspects) to ``(post id, sent triple id, *step_facts)``, or
+    to ``None`` where no step is enabled: ``alg.transition`` runs once per
+    input, and equal post states are one object.
     """
 
-    def __init__(self, alg: Algorithm, max_steps: int):
+    def __init__(self, alg: Algorithm, max_steps: int, inits: tuple[tuple[State, ...], ...]):
         self.alg = alg
         self.max_steps = max_steps
         self.n = alg.n
-        self.state_ids = _Interner()
-        self.message_ids = _Interner()
-        self.triple_ids = _Interner()
+        self.inits = inits
+        self.state_ids, self.triple_ids, self.set_ids = _Interner(), _Interner(), _Interner()
+        self.columns, self.nodes = _Interner(), _Interner()
         self.receiver_of: list[int] = []
-        self.triple_of: list[int] = []
-        self.steps: dict[tuple, tuple[Step, object, int, int | None] | None] = {}
+        self.sorted_of: list[int] = []
+        self.roots = [self.node(tuple(map(self.state_ids, init))) for init in inits]
+        self.transitions: dict[tuple, tuple | None] = {}
+        self.facts: dict[tuple, tuple] = {}
+        self.table: dict[int, dict[int, tuple]] = {}
+        #: (actor, pre id, received message, suspects id, depth) -> its step
+        self.steps: dict[tuple, Step] = {}
 
     def enter(self, pattern: FailurePattern) -> None:
         """Enter a pattern, whose families ``start`` roots until the next one."""
         self.pattern = pattern
         self.horizon = pattern.horizon
+        self.history: History | None = None
 
-    def start(self, history: History, init: tuple[State, ...]) -> None:
-        """Root the tree at a family of the entered pattern, with the empty path."""
+    def enter_history(self, history: History) -> None:
+        """Intern the columns of a history of the entered pattern."""
         self.history = history
-        self.init = init
-        self.states: list[int] = [self.state_ids(q) for q in init]
-        self.transit: list[int] = []
-        self.schedule: list[Step] = []
+        ids, crashed = self.set_ids, self.pattern.crashed
+        self.column_at = [
+            self.columns((ids(crashed[t]), *[ids(row[t]) for row in history.cells]))
+            for t in range(self.horizon + 1)
+        ]
+        self.tables_at = [self.table.setdefault(column, {}) for column in self.column_at]
+
+    def start(self, history: History, choice: int) -> None:
+        """Root the tree at the family of ``history`` and ``inits[choice]``."""
+        if history is not self.history:
+            self.enter_history(history)
+        self.init = self.inits[choice]
+        self.root = self.roots[choice]
+        self.path: list[tuple] = []
         self.offset = 0
 
-    def run(self) -> Run:
-        """The current path as a run."""
-        times = tuple(range(self.offset, self.offset + len(self.schedule)))
-        return Run(self.pattern, self.history, self.init, tuple(self.schedule), times)
+    def step_facts(self, actor: int, pre: State, suspects: frozenset[int], post: State) -> tuple:
+        """What a walker needs of a step on every visit, computed once."""
+        return ()
 
-    def step_facts(self, step: Step) -> object:
-        """What a walker needs of ``step`` on every visit, computed once."""
-        return None
+    def transition(self, key: tuple[int, int, int | None, frozenset[int]]) -> tuple | None:
+        """The entry of ``transitions`` at ``key``, made on its first use."""
+        actor, pre, received, suspects = key
+        states, triples = self.state_ids, self.triple_ids
+        heard = None if received is None else triples.values[received][::2]
+        result = self.alg.transition(actor, states.values[pre], heard, suspects)
+        if result is not None:
+            post, sent = states(result[0]), None
+            if result[1] is not None:
+                sent = triples((actor, *result[1]))
+                if sent == len(self.receiver_of):
+                    self.receiver_of.append(result[1][0])
+            values = states.values
+            result = (post, sent, *self.step_facts(actor, values[pre], suspects, values[post]))
+        self.transitions[key] = result
+        return result
 
-    def edge(
-        self, actor: int, pre: int, received: int | None, suspects: frozenset[int], depth: int
-    ) -> tuple[Step, object, int, int | None] | None:
-        """The step table's entry for an edge, built on its first visit."""
-        message = None if received is None else self.message_ids.values[received]
-        transmission = None if message is None else message.transmission()
-        states = self.state_ids
-        result = self.alg.transition(actor, states.values[pre], transmission, suspects)
-        if result is None:
-            return None
-        post, dispatch = states(result[0]), result[1]
-        sent = sent_message = None
-        if dispatch is not None:
-            messages = self.message_ids
-            sent = messages(Message(actor, dispatch[0], dispatch[1], depth * self.n + actor))
-            sent_message = messages.values[sent]
-            if sent == len(self.receiver_of):
-                self.receiver_of.append(sent_message.receiver)
-                self.triple_of.append(self.triple_ids(sent_message[:3]))
-        values = states.values
-        step = Step(actor, values[pre], message, suspects, values[post], sent_message)
-        return step, self.step_facts(step), post, sent
+    def node(self, configuration: tuple[int, ...]) -> int:
+        """The id of a configuration, interning it and its sorted form."""
+        i = self.nodes.ids.get(configuration)
+        if i is None:
+            i = self.nodes(configuration)
+            self.sorted_of.append(i)
+            ordered = configuration[: self.n] + tuple(sorted(configuration[self.n :]))
+            if ordered != configuration:
+                self.sorted_of[i] = self.node(ordered)
+        return i
 
-    def children(self, t: int) -> Iterator[tuple[Step, object, int, int | None]]:
-        """Apply each step enabled at time ``t``, yield its step table entry,
-        then undo it.
+    def expansion(self, node: int, column: int, leaves: bool) -> tuple:
+        """The child entries of ``node`` under ``column``, built from scratch.
 
-        Nothing is enabled once the path holds ``max_steps`` steps or ``t``
-        is past the horizon.  Order: by actor, then receiving nothing before
-        receiving each message addressed to the actor, in send order.
+        Order: by actor, skipping crashed ones, then receiving nothing before
+        receiving each triple addressed to the actor, in send order.
         """
-        depth = len(self.schedule)
-        if depth >= self.max_steps or t > self.horizon:
-            return
-        crashed = self.pattern.crashed_at(t)
-        cells = self.history.cells
-        states = self.states
-        transit = self.transit
-        receiver_of = self.receiver_of
-        schedule = self.schedule
-        table = self.steps
-        for actor in range(self.n):
+        n, sets = self.n, self.set_ids.values
+        crashed, *cells = (sets[i] for i in self.columns.values[column])
+        configuration = self.nodes.values[node]
+        states, transit = configuration[:n], configuration[n:]
+        entries: list = []
+        for actor in range(n):
             if actor in crashed:
                 continue
-            suspects = cells[actor][t]
-            pre = states[actor]
-            options: list[int | None] = [None]
-            options += [m for m in transit if receiver_of[m] == actor]
-            for received in options:
-                key = (actor, pre, received, suspects, depth)
-                try:
-                    edge = table[key]
-                except KeyError:
-                    edge = table[key] = self.edge(actor, pre, received, suspects, depth)
-                if edge is None:
+            options = [None] + [i for i, m in enumerate(transit) if self.receiver_of[m] == actor]
+            for position in options:
+                received = None if position is None else transit[position]
+                key = (actor, states[actor], received, cells[actor])
+                result = self.transitions[key] if key in self.transitions else self.transition(key)
+                if result is None:
                     continue
-                step, _, states[actor], sent = edge
-                removed_at = 0
-                if received is not None:
-                    removed_at = transit.index(received)
-                    del transit[removed_at]
-                if sent is not None:
-                    transit.append(sent)
-                schedule.append(step)
-                yield edge
-                schedule.pop()
-                if sent is not None:
-                    transit.pop()
-                if received is not None:
-                    transit.insert(removed_at, received)
-                states[actor] = pre
+                facts = (actor, position, *result)
+                facts = self.facts.setdefault(facts, facts)
+                moved = states[:actor] + (facts[2],) + states[actor + 1 :]
+                child = None if leaves else self.node(moved + _moved(transit, position, facts[3]))
+                entries += (child, facts)
+        return tuple(entries)
+
+    def children(self, node: int, t: int, leaves: bool) -> tuple:
+        """The child entries of ``node`` at time ``t``, ``leaves`` if no step
+        can follow them; leaf entries serve until an inner expansion."""
+        table = self.tables_at[t]
+        entries = table.get(node)
+        if entries is None or not leaves and entries and entries[0] is None:
+            entries = table[node] = self.expansion(node, self.column_at[t], leaves)
+        return entries
+
+    def step(self, facts: tuple, depth: int, states, received: Message | None, column) -> Step:
+        """The step of ``facts`` at ``depth`` from the node's state ids under
+        the column's set ids, built once per (actor, pre state, received
+        message, suspects, depth); it tags its message ``depth * n + actor``."""
+        actor, _, post, sent = facts[:4]
+        key = (actor, states[actor], received, column[1 + actor], depth)
+        step = self.steps.get(key)
+        if step is None:
+            message = None
+            if sent is not None:
+                message = Message(*self.triple_ids.values[sent], depth * self.n + actor)
+            pre, post = self.state_ids.values[key[1]], self.state_ids.values[post]
+            step = Step(actor, pre, received, self.set_ids.values[key[3]], post, message)
+            self.steps[key] = step
+        return step
+
+    def make_run(self, schedule: list[Step]) -> Run:
+        times = tuple(range(self.offset, self.offset + len(schedule)))
+        return Run(self.pattern, self.history, self.init, tuple(schedule), times)
+
+    def run(self) -> Run:
+        """The current path as a run, its steps rebuilt from its facts."""
+        states, transit, schedule = list(self.nodes.values[self.root]), (), []
+        for depth, facts in enumerate(self.path):
+            column = self.columns.values[self.column_at[self.offset + depth]]
+            received = None if facts[1] is None else transit[facts[1]]
+            schedule.append(self.step(facts, depth, states, received, column))
+            transit = _moved(transit, facts[1], schedule[-1].sent)
+            states[facts[0]] = facts[2]
+        return self.make_run(schedule)
 
     def runs(self, owed: frozenset[int], window: int | None) -> Iterator[Run]:
         """The runs that owe the processes in ``owed`` no strict-fairness
         debt: the empty run, then every nonempty schedule of each window
         offset in depth-first order.
 
-        The debts of ``validation._liveness_debts`` are kept in step with the
-        path: the number of messages in transit to an owed process, and each
-        owed process's last step time (-1 before its first step; a process
-        owed nothing is pinned to the horizon).  A run is yielded when
-        nothing is owed and every owed process stepped less than ``window``
-        points before the horizon (default window: the whole run).  A path
-        whose last step lies ``window`` or more points after some owed
-        process's last step is neither yielded nor extended: that process's
-        gap is too long whether it steps later or not.  So no walked path
-        ever closes a gap that long.  With nobody owed, every run is yielded.
+        The debts of ``validation._liveness_debts`` are kept along the path:
+        the messages in transit to an owed process, and each owed process's
+        last step time (-1 before its first step; others are pinned to the
+        horizon).  A run is yielded when nothing is owed and every owed
+        process stepped less than ``window`` points before the horizon
+        (default: the whole run).  A path whose last step lies ``window`` or
+        more points after an owed process's last step is neither yielded nor
+        extended, since that gap stays too long.
         """
         window = self.horizon + 1 if window is None else window
         last = [-1 if p in owed else self.horizon for p in range(self.n)]
+        self.schedule: list[Step] = []
         if self.horizon - min(last) < window:
-            yield self.run()
+            yield self.make_run(self.schedule)
         # from this offset on, an owed process has idled a whole window
         too_late = window + min(last) + 1
         for offset in range(min(self.horizon + 1, too_late)):
             self.offset = offset
-            yield from self._below(offset, window, owed, last, 0)
+            yield from self._below(offset, self.root, (), window, owed, last, 0)
 
-    def _below(
-        self, t: int, window: int, owed: frozenset[int], last: list[int], debt: int
-    ) -> Iterator[Run]:
-        for step, _, _, _ in self.children(t):
-            actor = step.actor
+    def _below(self, t: int, node: int, messages: tuple, window: int, owed, last, debt: int):
+        """The runs below ``node`` at time ``t``, whose tagged messages in
+        transit are ``messages``."""
+        schedule = self.schedule
+        depth = len(schedule)
+        remaining = min(self.max_steps - depth, self.horizon + 1 - t)
+        if remaining <= 0:
+            return
+        entries = self.children(node, t, remaining == 1)
+        states, column = self.nodes.values[node], self.columns.values[self.column_at[t]]
+        for i in range(0, len(entries), 2):
+            child, facts = entries[i], entries[i + 1]
+            actor, position, _, sent = facts
+            received = None if position is None else messages[position]
+            step = self.step(facts, depth, states, received, column)
             child_debt = debt
-            if step.received is not None and actor in owed:
+            if position is not None and actor in owed:
                 child_debt -= 1
-            if step.sent is not None and step.sent.receiver in owed:
+            if sent is not None and self.receiver_of[sent] in owed:
                 child_debt += 1
             before = last[actor]
             if actor in owed:
                 last[actor] = t
             oldest = min(last)
             if t - oldest < window:
+                schedule.append(step)
                 if not child_debt and self.horizon - oldest < window:
-                    yield self.run()
-                yield from self._below(t + 1, window, owed, last, child_debt)
+                    yield self.make_run(schedule)
+                if child is not None:
+                    rest = _moved(messages, position, step.sent)
+                    yield from self._below(t + 1, child, rest, window, owed, last, child_debt)
+                schedule.pop()
             last[actor] = before
 
 
@@ -507,13 +561,13 @@ def enumerate_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> Ite
     if not strict and bounds.fairness_window is not None:
         raise DomainMismatch("a fairness window applies only in strict-fairness mode")
     patterns, inits, _ = _run_space(alg, bounds)
-    tree = _ScheduleTree(alg, bounds.max_steps)
+    tree = _ScheduleTree(alg, bounds.max_steps, inits)
     for pattern in patterns:
         tree.enter(pattern)
         owed = pattern.correct() if strict else frozenset()
         for history in perturbed_histories(fd, pattern, bounds.history_budget):
-            for init in inits:
-                tree.start(history, init)
+            for choice in range(len(inits)):
+                tree.start(history, choice)
                 yield from tree.runs(owed, bounds.fairness_window)
 
 
@@ -560,9 +614,10 @@ class _Rows(_Interner):
 class _Judge:
     """The growing observable sequence of one run, judged by its predicate.
 
-    ``ids`` holds the sequence as ids of ``table``, the call's ``_Rows``:
-    ``push`` appends the row in which process ``i`` shows ``letter``
-    instead, and ``pop`` takes the last row back.  ``rows`` and ``last``
+    ``ids`` holds the sequence as ids of ``table``, the call's ``_Rows``,
+    from the row id it is built or ``reset`` with: ``push`` appends the row
+    in which process ``i`` shows ``letter`` instead, and ``pop`` takes the
+    last row back.  ``rows`` and ``last``
     decode it.  ``broken`` holds one bit per row: has a step up to it
     broken an agreement sequence for good (see ``_BREAKS``)?  ``classify``
     judges the whole sequence, so this judge serves any predicate.
@@ -572,13 +627,12 @@ class _Judge:
 
     def __init__(
         self,
-        letters: list[str],
+        row: int,
         predicate: ProblemPredicate,
         pattern: FailurePattern,
         table: _Rows,
     ):
-        self.ids = [table(tuple(letters))]
-        self.broken = [False]
+        self.reset(row)
         self.table = table
         self.moves = table.moves
         self.predicate = predicate
@@ -591,6 +645,11 @@ class _Judge:
 
     def last(self) -> tuple[str, ...]:
         return self.table.values[self.ids[-1]]
+
+    def reset(self, row: int) -> None:
+        """Start over at the one row ``row``."""
+        self.ids = [row]
+        self.broken = [False]
 
     def push(self, i: int, letter: str) -> None:
         ids = self.ids
@@ -619,16 +678,17 @@ def _monitored(predicate: ProblemPredicate, sigma: frozenset[str]) -> bool:
 def _judge(
     predicate: ProblemPredicate,
     sigma: frozenset[str],
-    letters: list[str],
+    row: int,
     pattern: FailurePattern,
     table: _Rows,
 ) -> _Judge:
-    """The judge of a sequence that starts at ``letters`` and grows by
-    ``push``, its rows interned in ``table``: ``_AgreementMonitor`` where
-    ``_monitored`` holds, the whole-sequence ``_Judge`` for anything else."""
+    """The judge of a sequence that starts at the row of id ``row`` and
+    grows by ``push``, its rows interned in ``table``: ``_AgreementMonitor``
+    where ``_monitored`` holds, the whole-sequence ``_Judge`` for anything
+    else."""
     if _monitored(predicate, sigma):
-        return _AgreementMonitor(letters, predicate, pattern, table)
-    return _Judge(letters, predicate, pattern, table)
+        return _AgreementMonitor(row, predicate, pattern, table)
+    return _Judge(row, predicate, pattern, table)
 
 
 def _fair_scan(
@@ -648,9 +708,10 @@ def _fair_scan(
     Consecutive runs share a schedule prefix, so the judge of the previous
     run is kept: per run, only the steps after the longest prefix of
     ``Step`` objects identical to the previous run's are popped and pushed,
-    each as its actor's new letter.  Steps are interned per call, so an
-    identical step may come from another path; it is an equal step, which
-    pushes the same letter, and that is all the judge needs.  The judge
+    each as its actor's new letter.  ``enumerate_runs`` builds each step
+    once per edge and call, so an identical step may come from another
+    path; it is an equal step, which pushes the same letter, and that is
+    all the judge needs.  The judge
     starts over whenever the (pattern, history, initial states) family
     changes.  A scan that ends without a fair run raises ``DomainMismatch``:
     a check over no run must not report success.
@@ -665,8 +726,8 @@ def _fair_scan(
     for run in enumerate_runs(alg, fd, strict_bounds):
         if run.init is not init or run.history is not history or run.pattern is not pattern:
             pattern, history, init = run.pattern, run.history, run.init
-            letters = [of(i, s) for i, s in enumerate(init)]
-            judge = _judge(predicate, interp.sigma, letters, pattern, table)
+            row = table(tuple(of(i, s) for i, s in enumerate(init)))
+            judge = _judge(predicate, interp.sigma, row, pattern, table)
             steps = ()
         schedule = run.schedule
         keep = 0
@@ -689,6 +750,17 @@ def _fair_scan(
     return counts, first
 
 
+def _report_doc(report, kind: str, **replaced) -> dict:
+    """A report's ``report.v1`` document: its fields in declaration order,
+    some ``replaced``, the timing rounded to milliseconds."""
+    doc = {"schema": "report.v1", "kind": kind}
+    doc.update((f.name, getattr(report, f.name)) for f in fields(report))
+    doc.update(replaced, elapsed_seconds=round(report.elapsed_seconds, 3))
+    if "canonicalizations" in doc:
+        doc["canonicalizations"] = list(report.canonicalizations)
+    return doc
+
+
 @dataclass
 class SolvesReport:
     """Verdict of an exhaustive solvability check."""
@@ -708,23 +780,7 @@ class SolvesReport:
     canonicalizations: tuple[str, ...] = (SWEEP_NOTE,)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "report.v1",
-            "kind": "solves",
-            "algorithm": self.algorithm,
-            "fd": self.fd,
-            "problem": self.problem,
-            "bounds": self.bounds,
-            "solves": self.solves,
-            "checked_runs": self.checked_runs,
-            "decided_runs": self.decided_runs,
-            "undecided_runs": self.undecided_runs,
-            "violation_count": self.violation_count,
-            "require_quiescence": self.require_quiescence,
-            "counterexample": self.counterexample,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "canonicalizations": list(self.canonicalizations),
-        }
+        return _report_doc(self, "solves")
 
 
 def check_solves(
@@ -778,19 +834,9 @@ class ProbeReport:
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "report.v1",
-            "kind": "probe",
-            "algorithm": self.algorithm,
-            "fd": self.fd,
-            "problem": self.problem,
-            "bounds": self.bounds,
-            "found": self.found,
-            "run": self.run_doc,
-            "detail": self.detail,
-            "checked_runs": self.checked_runs,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
+        doc = _report_doc(self, "probe", run=self.run_doc)
+        del doc["run_doc"]
+        return doc
 
 
 def counterexample_probe(
@@ -887,25 +933,7 @@ class TheoremReport:
         return self.failure_count == 0
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "report.v1",
-            "kind": "theorem",
-            "theorem": self.theorem,
-            "algorithm": self.algorithm,
-            "fd": self.fd,
-            "k": self.k,
-            "bounds": self.bounds,
-            "families": self.families,
-            "checked_runs": self.checked_runs,
-            "checked_histories": self.checked_histories,
-            "failure_count": self.failure_count,
-            "failures": [f.to_dict() for f in self.failures],
-            "decided_runs": self.decided_runs,
-            "undecided_runs": self.undecided_runs,
-            "thorough": self.thorough,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "canonicalizations": list(self.canonicalizations),
-        }
+        return _report_doc(self, "theorem", failures=[f.to_dict() for f in self.failures])
 
 
 #: (letter before, letter after) -> does a step that makes this change break
@@ -933,12 +961,12 @@ class _AgreementMonitor(_Judge):
 
     def __init__(
         self,
-        letters: list[str],
+        row: int,
         predicate: ProblemPredicate,
         pattern: FailurePattern,
         table: _Rows,
     ):
-        super().__init__(letters, predicate, pattern, table)
+        super().__init__(row, predicate, pattern, table)
         # both agreement predicates are stateless and read a pattern only
         # through its survivors
         self.verdicts = table.verdicts.setdefault((type(predicate), pattern.correct()), {})
@@ -1009,9 +1037,10 @@ class _TreeWalker(_ScheduleTree):
     a walked subtree's ``_WalkTotals``, each distinct record kept once in
     ``subtrees``; it is ``None`` for a ``thorough`` call, or a judge other
     than the agreement monitor, the one whose verdicts the key's broken bit
-    and states fix.  The ids come from the call's interners: ``windows``
-    (each a column id and the next window's id), ``columns`` and
-    ``configurations``.
+    and states fix.  Window ids come from ``windows``, each a column id and
+    the next window's id.  ``root_rows`` holds each initial-state choice's
+    two root row ids, and each pattern has one pair of judges, reset at
+    each family's root.
     """
 
     theorem: str
@@ -1023,25 +1052,27 @@ class _TreeWalker(_ScheduleTree):
     membership_subject: str
 
     def __init__(
-        self,
-        base_alg: Algorithm,
-        interp: Interpretation,
-        predicate: ProblemPredicate,
-        max_steps: int,
-        derived_interp: Interpretation | None,
-        thorough: bool,
+        self, alg: Algorithm, inits: tuple[tuple[State, ...], ...], max_steps: int,
+        base_alg: Algorithm, interp: Interpretation, predicate: ProblemPredicate,
+        derived_interp: Interpretation | None, thorough: bool,
     ):
         interp.check_initial_cover(base_alg.initial_states)
         if derived_interp is None:
             derived_interp = self.derive(interp, base_alg)
         self.v_tilde = derived_interp
-        super().__init__(self.wrap(base_alg), max_steps)
-        self.base_alg = base_alg
         self.interp = interp
+        super().__init__(alg, max_steps, inits)
+        self.base_alg = base_alg
         self.predicate = predicate
         self.thorough = thorough
         self.examples: dict[tuple[str, str], dict | None] = {}
-        self.rows = _Rows()
+        self.rows = rows = _Rows()
+        #: each initial-state choice's root rows: the wrapper run's, the mapped run's
+        self.root_rows = [
+            (rows(tuple(map(derived_interp.of, range(self.n), init))),
+             rows(tuple(interp.of(i, self.mapped_state(q)) for i, q in enumerate(init))))
+            for init in inits
+        ]
         monitored = _monitored(predicate, derived_interp.sigma)
         self.memo: dict[int, dict[int, _WalkTotals]] | None = (
             {} if monitored and not thorough else None
@@ -1049,32 +1080,28 @@ class _TreeWalker(_ScheduleTree):
         #: each distinct subtree record the memo stores, kept once for the call
         self.subtrees: dict[tuple, _WalkTotals] = {}
         self.windows = _Interner()
-        self.columns = _Interner()
-        self.configurations = _Interner()
-        #: each set of processes as a small int, so that the call's windows
-        #: keep no pattern's or history's sets alive
-        self.set_ids = {s: i for i, s in enumerate(_sorted_subsets(self.n))}
 
     def enter(self, pattern: FailurePattern) -> None:
+        """Enter a pattern, with one judge per observable sequence."""
         super().enter(pattern)
         self.faulty = pattern.faulty()
         self.mapped_pattern = self.map_pattern(pattern)
-        self.windows_of: History | None = None
+        predicate, rows = self.predicate, self.rows
+        self.judge = _judge(predicate, self.v_tilde.sigma, 0, pattern, rows)
+        self.mapped = _judge(predicate, self.interp.sigma, 0, self.mapped_pattern, rows)
 
-    def start(self, history: History, init: tuple[State, ...]) -> None:
-        """Root the walk at a family, with one judge per observable sequence."""
-        super().start(history, init)
-        if history is not self.windows_of:
-            self.windows_of = history
-            #: (t, remaining) -> the window id of this pattern and history there
-            self.window_at: dict[tuple[int, int], int] = {}
-        letters = [self.v_tilde.of(i, s) for i, s in enumerate(init)]
-        self.judge = _judge(self.predicate, self.v_tilde.sigma, letters, self.pattern, self.rows)
-        mapped_letters = [self.interp.of(i, self.mapped_state(s)) for i, s in enumerate(init)]
-        self.mapped = _judge(
-            self.predicate, self.interp.sigma, mapped_letters, self.mapped_pattern, self.rows
-        )
-        self.init_aligned = self.judge.ids[0] == self.mapped.ids[0]
+    def enter_history(self, history: History) -> None:
+        super().enter_history(history)
+        #: (t, remaining) -> the window id of this pattern and history there
+        self.window_at: dict[tuple[int, int], int] = {}
+
+    def start(self, history: History, choice: int) -> None:
+        """Root the walk at a family, both judges at the choice's root rows."""
+        super().start(history, choice)
+        row, mapped_row = self.root_rows[choice]
+        self.judge.reset(row)
+        self.mapped.reset(mapped_row)
+        self.init_aligned = row == mapped_row
         #: per-run clause violations carried by the current path
         self.sticky: list[tuple[str, str]] = []
 
@@ -1084,66 +1111,54 @@ class _TreeWalker(_ScheduleTree):
         """The mapped run's counterpart of an initial state."""
         return state
 
-    def step_violations(self, step: Step) -> list[tuple[str, str]]:
-        """Clause violations introduced by this step, read once both
-        sequences hold its rows."""
+    def step_violations(self, facts: tuple) -> list[tuple[str, str]]:
+        """Clause violations introduced by the step of these facts, read
+        once both sequences hold its rows."""
         return []
 
-    def dropped(self, step: Step) -> bool:
+    def dropped(self, actor: int, pre: State, suspects: frozenset[int]) -> bool:
         """Does the run mapping drop this step?  Read from the step alone,
-        because the step table serves every pattern of the call."""
+        because the transitions serve every pattern of the call."""
         raise NotImplementedError
 
-    def step_facts(self, step: Step) -> tuple[str, str | None]:
+    def step_facts(
+        self, actor: int, pre: State, suspects: frozenset[int], post: State
+    ) -> tuple[str, str | None]:
         """The step's letter in the wrapper run, and in the mapped run or
         ``None`` when the mapping drops it."""
-        shown = self.v_tilde.of(step.actor, step.post)
-        return shown, None if self.dropped(step) else self.interp.of(step.actor, step.post)
+        shown = self.v_tilde.of(actor, post)
+        return shown, None if self.dropped(actor, pre, suspects) else self.interp.of(actor, post)
 
     def memo_view(self, aligned: bool) -> dict | None:
         """The memo to consult at this node, or ``None`` to walk it."""
         return self.memo if aligned and not self.sticky else None
 
-    def memo_key(self, t: int, remaining: int) -> tuple[int, int]:
-        """What fixes the subtree below time ``t`` on an aligned path that
-        carries no violation, at most ``remaining`` more steps deep: the ids
-        of its window and of its configuration.
+    def memo_key(self, t: int, remaining: int, node: int) -> tuple[int, int]:
+        """What fixes the subtree below ``node`` at time ``t`` on an aligned
+        path that carries no violation, at most ``remaining`` more steps
+        deep: the id of its window with the broken bit, and the node with
+        its transit sorted.
 
         The window holds the faulty set, which fixes the survivors that the
-        verdicts and the stall clauses read; the crashed sets of times
-        ``t .. t+remaining-1``, which fix who can step; and every history
-        cell of those times, which fixes what each step suspects.  Its id
-        chains the id of the column at ``t`` (crashed set and cells) to the
+        verdicts and the stall clauses read, and the columns of times
+        ``t .. t+remaining-1``: the crashed sets fix who can step, the cells
+        what each step suspects.  Its id chains the column at ``t`` to the
         window of ``(t+1, remaining-1)``, down to the faulty set alone, so
-        equal ids chain equal sets and the length fixes ``remaining``.
-        Nothing below reads ``t`` or the depth itself: a message's tag is the
-        one thing depth sets, and the key reads messages without it.  The
-        configuration is the broken bit, the states, which fix the last row
-        and with it every later verdict of an unbroken sequence, and the
-        sorted (sender, receiver, payload) ids of the messages in transit.
-        The mapped judge's row and bit equal the wrapper judge's, since the
-        memo serves only aligned paths: both sequences start at equal rows, a
-        dropped step repeats the wrapper's last row (and ``_BREAKS[x, x]`` is
-        false), and a kept step makes the same letter change in both.
+        the length fixes ``remaining``.  Nothing below reads ``t`` or the
+        depth: nodes hold messages without the tag that depth sets.  The
+        states fix the last row and so every later verdict of an unbroken
+        sequence.  The mapped judge's row and bit equal the wrapper judge's
+        on aligned paths: both start at equal rows, a dropped step repeats
+        the last row (``_BREAKS[x, x]`` is false), and a kept step makes the
+        same letter change in both.
         """
         window = self.window_at.get((t, remaining))
         if window is None:
-            ids, crashed, cells = self.set_ids, self.pattern.crashed, self.history.cells
-            end = t + remaining
-            window = self.windows((ids[self.faulty],))
+            column_at, end = self.column_at, t + remaining
+            window = self.windows((self.set_ids(self.faulty),))
             for s in range(end - 1, t - 1, -1):
-                column = self.columns((ids[crashed[s]], *[ids[row[s]] for row in cells]))
-                window = self.window_at[s, end - s] = self.windows((column, window))
-        triple_of = self.triple_of
-        configuration = (
-            self.judge.broken[-1],
-            *self.states,
-            *sorted([triple_of[m] for m in self.transit]),
-        )
-        key = self.configurations.ids.get(configuration)
-        if key is None:
-            key = self.configurations(configuration)
-        return window, key
+                window = self.window_at[s, end - s] = self.windows((column_at[s], window))
+        return window << 1 | self.judge.broken[-1], self.sorted_of[node]
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         """Validate the current run's mapped run from scratch and compare
@@ -1163,20 +1178,17 @@ class _TreeWalker(_ScheduleTree):
         violations = self.sticky
         c_ok = aligned or is_stutter(tuple(self.mapped.rows), tuple(self.judge.rows))
         if not c_ok:
-            violations = violations + [
-                (self.c_clause, "observable sequence is not a stutter expansion")
-            ]
+            detail = "observable sequence is not a stutter expansion"
+            violations = violations + [(self.c_clause, detail)]
         verdict = self.judge.classify()
         # satisfaction transfers along the mapping; a failing mapped run excuses
         if verdict == "fail":
             if self.mapped.classify() != "fail":
-                violations = violations + [
-                    (
-                        self.d_clause,
-                        "problem predicate rejects the wrapper sequence although "
-                        "the mapped run satisfies the problem",
-                    )
-                ]
+                detail = (
+                    "problem predicate rejects the wrapper sequence although "
+                    "the mapped run satisfies the problem"
+                )
+                violations = violations + [(self.d_clause, detail)]
         elif verdict == "decided":
             totals.decided += 1
         else:
@@ -1218,9 +1230,9 @@ class _TreeWalker(_ScheduleTree):
         self.account_node(totals, self.init_aligned)
         for offset in range(self.horizon + 1):
             self.offset = offset
-            self.expand(totals, offset, self.init_aligned)
+            self.expand(totals, self.root, offset, self.init_aligned)
 
-    def expand(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
+    def expand(self, totals: _WalkTotals, node: int, t: int, aligned: bool) -> None:
         """Walk the children at time ``t`` into ``totals``, or credit them
         from the memo that ``memo_view`` returns.
 
@@ -1231,46 +1243,52 @@ class _TreeWalker(_ScheduleTree):
         consulted only on aligned paths that carry no violation, under
         ``memo_key``.
         """
-        depth = len(self.schedule)
-        if depth >= self.max_steps or t > self.horizon:
+        remaining = min(self.max_steps - len(self.path), self.horizon + 1 - t)
+        if remaining <= 0:
             return
         memo = self.memo_view(aligned)
         if memo is None:
-            self.expand_children(totals, t, aligned)
+            self.expand_children(totals, node, t, remaining, aligned)
             return
-        window, configuration = self.memo_key(t, min(self.max_steps - depth, self.horizon + 1 - t))
+        window, key = self.memo_key(t, remaining, node)
         table = memo.get(window)
         if table is None:
             table = memo[window] = {}
-        subtree = table.get(configuration)
+        subtree = table.get(key)
         if subtree is None:
             subtree = _WalkTotals()
-            self.expand_children(subtree, t, aligned)
+            self.expand_children(subtree, node, t, remaining, aligned)
             # few distinct records recur under many keys: keep one copy of each
             tally = None if subtree.tally is None else tuple(subtree.tally.items())
             record = (subtree.nodes, subtree.violations, subtree.decided, subtree.undecided, tally)
-            subtree = table[configuration] = self.subtrees.setdefault(record, subtree)
+            subtree = table[key] = self.subtrees.setdefault(record, subtree)
         totals.add(subtree)
 
-    def expand_children(self, totals: _WalkTotals, t: int, aligned: bool) -> None:
+    def expand_children(
+        self, totals: _WalkTotals, node: int, t: int, remaining: int, aligned: bool
+    ) -> None:
         judge, mapped = self.judge, self.mapped
         judge_ids, mapped_ids = judge.ids, mapped.ids
-        sticky = self.sticky
+        sticky, path = self.sticky, self.path
         step_violations = self.step_violations
-        for step, (shown, mapped_letter), _, _ in self.children(t):
-            actor = step.actor
+        entries = iter(self.children(node, t, remaining == 1))
+        for child, facts in zip(entries, entries):
+            actor, _, _, _, shown, mapped_letter = facts
             judge.push(actor, shown)
             if mapped_letter is not None:
                 mapped.push(actor, mapped_letter)
+            path.append(facts)
 
-            step_viols = step_violations(step)
+            step_viols = step_violations(facts)
             sticky.extend(step_viols)
             child_aligned = aligned and judge_ids[-1] == mapped_ids[-1]
             self.account_node(totals, child_aligned)
-            self.expand(totals, t + 1, child_aligned)
+            if child is not None:
+                self.expand(totals, child, t + 1, child_aligned)
 
             if step_viols:
                 del sticky[len(sticky) - len(step_viols):]
+            path.pop()
             if mapped_letter is not None:
                 mapped.pop()
             judge.pop()
@@ -1293,48 +1311,37 @@ class _SosWalker(_TreeWalker):
     def membership(self, history: History, mapped_pattern: FailurePattern) -> MembershipVerdict:
         return history_in_p(history, mapped_pattern)
 
-    def start(self, history: History, init: tuple[State, ...]) -> None:
-        super().start(history, init)
+    def start(self, history: History, choice: int) -> None:
+        super().start(history, choice)
         if not self.init_aligned:
-            self.sticky.append(
-                (
-                    "sos-b-interpretation-equality",
-                    "derived interpretation disagrees on an initial state",
-                )
-            )
+            detail = "derived interpretation disagrees on an initial state"
+            self.sticky.append(("sos-b-interpretation-equality", detail))
 
-    def step_violations(self, step: Step) -> list[tuple[str, str]]:
+    def step_violations(self, facts: tuple) -> list[tuple[str, str]]:
         out: list[tuple[str, str]] = []
-        actor = step.actor
+        actor, sent = facts[0], facts[3]
         shown = self.judge.last()[actor]
         # the actor's letter in the stripped run: its last kept state's
         frozen = self.mapped.last()[actor]
         if actor not in self.faulty:
             if shown != frozen:
-                out.append(
-                    (
-                        "sos-b-interpretation-equality",
-                        f"process {actor} shows {shown!r} under the derived "
-                        f"interpretation but {frozen!r} under the original",
-                    )
+                detail = (
+                    f"process {actor} shows {shown!r} under the derived "
+                    f"interpretation but {frozen!r} under the original"
                 )
+                out.append(("sos-b-interpretation-equality", detail))
             return out
-        if step.sent is not None:
-            out.append(
-                ("sos-a-stripped-run-valid", f"eventually-faulty process {actor} sends a message")
-            )
+        if sent is not None:
+            detail = f"eventually-faulty process {actor} sends a message"
+            out.append(("sos-a-stripped-run-valid", detail))
         if shown != frozen:
-            out.append(
-                (
-                    "sos-b-interpretation-equality",
-                    f"stalled process {actor} shows {shown!r}, its frozen view shows {frozen!r}",
-                )
-            )
+            detail = f"stalled process {actor} shows {shown!r}, its frozen view shows {frozen!r}"
+            out.append(("sos-b-interpretation-equality", detail))
         return out
 
-    def dropped(self, step: Step) -> bool:
+    def dropped(self, actor: int, pre: State, suspects: frozenset[int]) -> bool:
         # strict M tells a live actor exactly the faulty processes
-        return step.actor in step.suspects
+        return actor in suspects
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         base_run = None
@@ -1348,10 +1355,10 @@ class _SosWalker(_TreeWalker):
             assert interpret_run(base_run, self.interp) == tuple(self.mapped.rows)
 
         b_ok = True
-        stripped_schedule = tuple(s for s in self.schedule if s.actor not in self.faulty)
+        stripped_schedule = tuple(s for s in run.schedule if s.actor not in self.faulty)
         for i in range(self.n):
-            wrapper_views = own_state_views(self.init, tuple(self.schedule), i)
-            base_views = own_state_views(self.init, stripped_schedule, i)
+            wrapper_views = own_state_views(run.init, run.schedule, i)
+            base_views = own_state_views(run.init, stripped_schedule, i)
             for index, state in enumerate(wrapper_views):
                 frozen = base_views[min(index, len(base_views) - 1)]
                 if self.v_tilde.of(i, state) != self.interp.of(i, frozen):
@@ -1371,21 +1378,11 @@ class _DasWalker(_TreeWalker):
     wrap = staticmethod(delay_a_step)
     derive = staticmethod(derive_interpretation_das)
 
-    def __init__(
-        self,
-        k: int,
-        time_shift: bool,
-        base_alg: Algorithm,
-        interp: Interpretation,
-        predicate: ProblemPredicate,
-        max_steps: int,
-        derived_interp: Interpretation | None,
-        thorough: bool,
-    ):
+    def __init__(self, *args, k: int, time_shift: bool):
         self.k = k
         self.time_shift = time_shift
         self.fd = FDSpec.accurate_after(k + 1)
-        super().__init__(base_alg, interp, predicate, max_steps, derived_interp, thorough)
+        super().__init__(*args)
 
     def map_pattern(self, pattern: FailurePattern) -> FailurePattern:
         return shift_pattern(pattern) if self.time_shift else pattern
@@ -1397,8 +1394,8 @@ class _DasWalker(_TreeWalker):
     def mapped_state(self, state: State) -> State:
         return state.base if isinstance(state, DelayState) else state
 
-    def dropped(self, step: Step) -> bool:
-        return isinstance(step.pre, DelayState)
+    def dropped(self, actor: int, pre: State, suspects: frozenset[int]) -> bool:
+        return isinstance(pre, DelayState)
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         mapped = das_run_mapping(run, time_shift=self.time_shift)
@@ -1407,14 +1404,16 @@ class _DasWalker(_TreeWalker):
         assert interpret_run(mapped, self.interp) == tuple(self.mapped.rows)
 
 
-def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremReport:
-    """Check the walker's preservation claim on every run of its wrapped
-    algorithm under its oracle.
+def _verify_claim(
+    walker_type: type[_TreeWalker], bounds: EnumerationBounds, base_alg: Algorithm, *args, **kw
+) -> TheoremReport:
+    """Check the preservation claim of ``walker_type`` on every run of its
+    wrapped algorithm under its oracle.
 
-    Each claim is one walker class, and one walker serves the whole call.
-    Per history group, the walker walks the group's representative once per
-    initial-state choice into one ``_WalkTotals``, which the call total adds
-    once per member.
+    The run space is checked before the walker, built from ``base_alg``,
+    ``args`` and ``kw``, serves the whole call.  Per history group, it walks
+    the representative once per initial-state choice into one
+    ``_WalkTotals``, which the call total adds once per member.
 
     ``membership`` judges only the representative against the mapped
     pattern, and its verdict is exactly every member's, because both claims'
@@ -1438,7 +1437,9 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
             "preservation claims cover every prefix-consistent run; "
             "they take no strict-fairness mode and no fairness window"
         )
-    patterns, inits, families = _run_space(walker.alg, bounds)
+    alg = walker_type.wrap(base_alg)
+    patterns, inits, families = _run_space(alg, bounds)
+    walker = walker_type(alg, inits, bounds.max_steps, base_alg, *args, **kw)
     totals = _WalkTotals()
     checked_histories = 0
 
@@ -1451,8 +1452,8 @@ def _verify_claim(walker: _TreeWalker, bounds: EnumerationBounds) -> TheoremRepo
                 for h in members:
                     assert walker.membership(h, walker.mapped_pattern) == verdict
             group = _WalkTotals()
-            for init in inits:
-                walker.start(rep, init)
+            for choice in range(len(inits)):
+                walker.start(rep, choice)
                 walker.walk(group)
             totals.add(group, len(members))
             if not verdict.prefix_consistent:
@@ -1517,8 +1518,7 @@ def verify_sos(
     re-derives every node verdict from scratch and disables memoization.
     Bounds in strict-fairness mode or with a fairness window are refused.
     """
-    walker = _SosWalker(base_alg, interp, predicate, bounds.max_steps, derived_interp, thorough)
-    return _verify_claim(walker, bounds)
+    return _verify_claim(_SosWalker, bounds, base_alg, interp, predicate, derived_interp, thorough)
 
 
 def verify_das(
@@ -1560,7 +1560,5 @@ def verify_das(
         raise DomainMismatch("the delay claim needs horizon >= 1 for its accuracy time k+1")
     if not 0 <= k < bounds.horizon:
         raise KOutOfRange(f"stabilization time k={k} outside 0..{bounds.horizon - 1}")
-    walker = _DasWalker(
-        k, time_shift, base_alg, interp, predicate, bounds.max_steps, derived_interp, thorough
-    )
-    return _verify_claim(walker, bounds)
+    args = (base_alg, interp, predicate, derived_interp, thorough)
+    return _verify_claim(_DasWalker, bounds, *args, k=k, time_shift=time_shift)

@@ -323,6 +323,38 @@ def reference_history_groups(
     return [(groups[key][0], groups[key]) for key in order]
 
 
+def reference_children(
+    alg: Algorithm,
+    states: tuple,
+    transit: tuple[tuple[int, int, str], ...],
+    crashed: frozenset[int],
+    suspects: tuple[frozenset[int], ...],
+) -> list[tuple]:
+    """The children of a configuration without message tags (the local
+    states and the (sender, receiver, payload) triples in transit, in send
+    order) when the crashed set is ``crashed`` and process ``p`` suspects
+    ``suspects[p]``, each as (actor, position of the received triple or
+    ``None``, post state, sent triple or ``None``, child states, child
+    transit).  Order: by actor, then receiving nothing before receiving each
+    triple addressed to the actor, in send order."""
+    out = []
+    for actor in range(alg.n):
+        if actor in crashed:
+            continue
+        options = [None] + [i for i, m in enumerate(transit) if m[1] == actor]
+        for position in options:
+            heard = None if position is None else (transit[position][0], transit[position][2])
+            result = alg.transition(actor, states[actor], heard, suspects[actor])
+            if result is None:
+                continue
+            post, dispatch = result
+            sent = None if dispatch is None else (actor, *dispatch)
+            rest = [m for i, m in enumerate(transit) if i != position] + [sent] * (sent is not None)
+            child_states = states[:actor] + (post,) + states[actor + 1 :]
+            out.append((actor, position, post, sent, child_states, tuple(rest)))
+    return out
+
+
 def brute_force_runs(alg: Algorithm, fd: FDSpec, bounds: EnumerationBounds) -> set[Run]:
     """Every candidate run within bounds that ``validate_run`` accepts.
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import product
+from typing import Iterator
 
 import pytest
 
@@ -37,7 +39,9 @@ from fdlab.harness import (
     history_groups,
     init_combinations,
 )
-from fdlab.model import Message, Step
+from fdlab.machines import TableAlgorithm
+from fdlab.model import Step
+from fdlab.problems import AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET
 from fdlab.traces import canonical_json, run_from_doc
 from fdlab.transforms import (
     DelayState,
@@ -50,6 +54,7 @@ from .oracles import (
     PlantedLengthSensitive,
     gapped_projections,
     reference_history_groups,
+    reference_children,
     reference_perturbed_histories,
     reference_report_docs,
     time_free,
@@ -204,8 +209,11 @@ class TestHistoryReferences:
         the stall claim under ``M``, and the delay claim under ``Pk:k+1`` for
         every ``k``, shifted and unshifted."""
         alg, interp, predicate = builtin_algorithm("flood-consensus-p", n)
-        walkers = [harness._SosWalker(alg, interp, predicate, 1, None, False)] + [
-            harness._DasWalker(k, shift, alg, interp, predicate, 1, None, False)
+        inits = init_combinations(alg)
+        walkers = [harness._SosWalker(alg, inits, 1, alg, interp, predicate, None, False)] + [
+            harness._DasWalker(
+                alg, inits, 1, alg, interp, predicate, None, False, k=k, time_shift=shift
+            )
             for k in range(horizon)
             for shift in (True, False)
         ]
@@ -455,76 +463,105 @@ class TestGappedRuns:
         assert not (gapped - engine) & {time_free(run) for run in enumerate_runs(alg, fd, wider)}
 
 
-def _recorded(monkeypatch: pytest.MonkeyPatch) -> list[harness._ScheduleTree]:
-    """The schedule trees (walkers included) that later calls build."""
+def _recorded(
+    monkeypatch: pytest.MonkeyPatch, count_transitions: bool = False
+) -> list[harness._ScheduleTree]:
+    """The schedule trees (walkers included) that later calls build.  With
+    ``count_transitions``, each tree's ``calls`` lists the inputs of every
+    ``alg.transition`` call it makes."""
     trees: list[harness._ScheduleTree] = []
     init = harness._ScheduleTree.__init__
 
     def record(tree, *args) -> None:
         init(tree, *args)
         trees.append(tree)
+        if count_transitions:
+            tree.calls = []
+            transition = tree.alg.transition
+
+            def counted(actor, pre, heard, suspects):
+                key = (actor, tree.state_ids.ids[pre], heard, suspects)
+                tree.calls.append(key)
+                return transition(actor, pre, heard, suspects)
+
+            tree.alg.transition = counted
 
     monkeypatch.setattr(harness._ScheduleTree, "__init__", record)
     return trees
 
 
 class TestStepTable:
-    """One call builds each step once: the tree's step table maps each edge
-    ``(actor, pre, received, suspects, depth)``, with the pre state and the
-    received message as the call's interned ids, to the step taken there."""
+    """One call takes each transition once: ``transitions`` maps each
+    (actor, pre state id, received triple id, suspects) to the post state
+    id, the sent triple id and a walker's letters, and ``enumerate_runs``
+    builds each ``Step`` once per edge (actor, pre state, received message,
+    suspects, depth)."""
 
     BOUNDS = EnumerationBounds(n=2, horizon=3, max_steps=3, history_budget=1)
 
     def _calls(self) -> list:
-        alg, interp, predicate = builtin_algorithm("flood-consensus-p", 2)
+        """Three calls, each on its own instance of the algorithm."""
+
+        def machine() -> tuple:
+            return builtin_algorithm("flood-consensus-p", 2)
+
         return [
-            lambda: list(enumerate_runs(alg, FD, self.BOUNDS)),
-            lambda: verify_sos(alg, interp, predicate, self.BOUNDS),
-            lambda: verify_das(alg, interp, predicate, 1, self.BOUNDS),
+            lambda: list(enumerate_runs(machine()[0], FD, self.BOUNDS)),
+            lambda: verify_sos(*machine(), self.BOUNDS),
+            lambda: verify_das(*machine(), 1, self.BOUNDS),
         ]
 
     def test_each_step_is_the_transition_of_its_edge(
         self, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        """Every entry equals the step rebuilt from ``alg.transition``, with
-        the sent message tagged ``depth * n + actor``, and a walker's facts
-        are the step's letter and its mapped letter, ``None`` when dropped.
-        The entry's post state and sent message ids decode to the step's."""
-        trees = _recorded(monkeypatch)
+        """``alg.transition`` runs once per entry of ``transitions``; every
+        entry equals the transition of its input, its post state is the
+        interned object, and a walker's facts are the step's letter and its
+        mapped letter, ``None`` when dropped.  Each child entry's facts are
+        its transition's, at the received triple's position."""
+        trees = _recorded(monkeypatch, count_transitions=True)
         for call in self._calls():
             call()
         dropped = kept = 0
         for tree in trees:
-            assert tree.steps
-            states, messages = tree.state_ids.values, tree.message_ids.values
-            for (actor, pre_id, received_id, suspects, depth), edge in tree.steps.items():
-                pre = states[pre_id]
-                received = None if received_id is None else messages[received_id]
-                heard = None if received is None else received.transmission()
-                result = tree.alg.transition(actor, pre, heard, suspects)
+            assert tree.transitions
+            states, triples = tree.state_ids.values, tree.triple_ids.values
+            inputs = {
+                (actor, pre, None if received is None else triples[received][::2], suspects)
+                for actor, pre, received, suspects in tree.transitions
+            }
+            assert len(tree.calls) == len(set(tree.calls)) == len(inputs)
+            assert set(tree.calls) == inputs
+            for (actor, pre_id, received, suspects), entry in tree.transitions.items():
+                heard = None if received is None else triples[received][::2]
+                result = tree.alg.transition(actor, states[pre_id], heard, suspects)
                 if result is None:
-                    assert edge is None
+                    assert entry is None
                     continue
                 post, dispatch = result
-                sent = (
-                    None
-                    if dispatch is None
-                    else Message(actor, dispatch[0], dispatch[1], depth * tree.n + actor)
+                post_id, sent, *letters = entry
+                assert states[post_id] == post
+                assert tree.state_ids.ids[post] == post_id
+                assert (None if sent is None else triples[sent]) == (
+                    None if dispatch is None else (actor, *dispatch)
                 )
-                step, facts, post_id, sent_id = edge
-                assert step == Step(actor, pre, received, suspects, post, sent)
-                assert states[post_id] is step.post
-                assert (None if sent_id is None else messages[sent_id]) is step.sent
                 if not isinstance(tree, harness._TreeWalker):
-                    assert facts is None
+                    assert letters == []
                     continue
-                shown, mapped = facts
+                shown, mapped = letters
                 assert shown == tree.v_tilde.of(actor, post)
                 if mapped is None:
                     dropped += 1
                 else:
                     kept += 1
                     assert mapped == tree.interp.of(actor, post)
+            for node, column, entries in _entries(tree):
+                configuration = tree.nodes.values[node]
+                cells = [tree.set_ids.values[i] for i in tree.columns.values[column][1:]]
+                for _, (actor, position, *edge) in entries:
+                    received = None if position is None else configuration[tree.n + position]
+                    key = (actor, configuration[actor], received, cells[actor])
+                    assert tuple(edge) == tree.transitions[key]
         assert len(trees) == 3
         assert dropped and kept
 
@@ -539,18 +576,127 @@ class TestStepTable:
                 key = (step.actor, step.pre, step.received, step.suspects, depth)
                 first, families = seen.setdefault(key, (step, set()))
                 assert first is step
+                assert step.post is tree_state(trees, step.post)
                 families.add((run.pattern, run.history, run.init))
         (tree,) = trees
-        state_ids, message_ids = tree.state_ids.ids, tree.message_ids.ids
 
         def interned(key: tuple) -> tuple:
             actor, pre, received, suspects, depth = key
-            received_id = None if received is None else message_ids[received]
-            return actor, state_ids[pre], received_id, suspects, depth
+            return actor, tree.state_ids.ids[pre], received, tree.set_ids.ids[suspects], depth
 
-        assert all(tree.steps[interned(key)][0] is step for key, (step, _) in seen.items())
+        assert all(tree.steps[interned(key)] is step for key, (step, _) in seen.items())
         assert len(seen) < sum(len(families) for _, families in seen.values())
         assert max(len({f[0] for f in families}) for _, families in seen.values()) > 1
+
+
+def tree_state(trees: list, state):
+    """The state object that the one recorded tree interned for ``state``."""
+    (tree,) = trees
+    return tree.state_ids.values[tree.state_ids.ids[state]]
+
+
+def _entries(tree) -> Iterator[tuple[int, int, list[tuple]]]:
+    """Each child-table key of a tree, as (node id, column id, its entries as
+    (child node id or None, facts) pairs)."""
+    for column, table in tree.table.items():
+        for node, flat in table.items():
+            yield node, column, list(zip(flat[::2], flat[1::2]))
+
+
+def _check_table_shape(tree) -> None:
+    """Each child-table entry is the from-scratch expansion of its node and
+    column in the reference's order, and only what an inner expansion
+    reaches is interned: the roots, each inner entry's child and the sorted
+    forms of those, which are the memo's configurations."""
+    n, states, triples = tree.n, tree.state_ids.values, tree.triple_ids.values
+    sets = tree.set_ids.values
+    reached = set(tree.roots)
+    leaves = 0
+    for node, column, entries in _entries(tree):
+        configuration = tree.nodes.values[node]
+        crashed, *cells = (sets[i] for i in tree.columns.values[column])
+        expected = reference_children(
+            tree.alg,
+            tuple(states[q] for q in configuration[:n]),
+            tuple(triples[m] for m in configuration[n:]),
+            crashed,
+            tuple(cells),
+        )
+        assert len(entries) == len(expected)
+        for (child, facts), (actor, position, post, sent, child_states, rest) in zip(
+            entries, expected
+        ):
+            assert facts[:2] == (actor, position)
+            assert states[facts[2]] == post
+            assert (None if facts[3] is None else triples[facts[3]]) == sent
+            if child is None:
+                leaves += 1
+                continue
+            reached.add(child)
+            decoded = tree.nodes.values[child]
+            assert tuple(states[q] for q in decoded[:n]) == child_states
+            assert tuple(triples[m] for m in decoded[n:]) == rest
+    reached |= {tree.sorted_of[node] for node in reached}
+    assert reached == set(range(len(tree.nodes.values)))
+    for node, configuration in enumerate(tree.nodes.values):
+        ordered = tree.nodes.values[tree.sorted_of[node]]
+        assert ordered[:n] == configuration[:n]
+        assert ordered[n:] == tuple(sorted(configuration[n:]))
+    assert leaves
+
+
+class TestChildTable:
+    """The tree's child table against a from-scratch expansion, and the
+    walkers' per-call roots."""
+
+    BOUNDS = EnumerationBounds(n=3, horizon=2, max_steps=3, history_budget=1)
+
+    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
+    def test_entries_equal_the_reference_expansion(
+        self, name: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        alg, interp, predicate = builtin_algorithm(name, 3)
+        trees = _recorded(monkeypatch)
+        list(enumerate_runs(alg, FD, self.BOUNDS))
+        verify_sos(alg, interp, predicate, self.BOUNDS)
+        verify_das(alg, interp, predicate, 0, self.BOUNDS)
+        assert len(trees) == 3
+        for tree in trees:
+            _check_table_shape(tree)
+
+    @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
+    def test_root_rows_are_interned_once_per_call(
+        self, name: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Every row a call interns outside a judge's step is one of the
+        two root rows of an initial-state choice, so the call's rows grow
+        only with steps, however many families it roots."""
+        alg, interp, predicate = builtin_algorithm(name, 3)
+        rooted = _rows_interned_outside_steps(monkeypatch)
+        verify_sos(alg, interp, predicate, self.BOUNDS)
+        verify_das(alg, interp, predicate, 0, self.BOUNDS)
+        inits = len(init_combinations(alg))
+        assert rooted == [2 * inits, 2 * inits]
+
+
+def _rows_interned_outside_steps(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Per walker that later calls build, the rows interned by anything
+    other than ``_Rows.move``, the interning of a judge's step."""
+    counts: list[int] = []
+    init, call = harness._TreeWalker.__init__, harness._Rows.__call__
+
+    def counted_init(walker, *args, **kw) -> None:
+        counts.append(0)
+        init(walker, *args, **kw)
+
+    def counted_call(rows, value) -> int:
+        if sys._getframe(1).f_code.co_name != "move":
+            counts[-1] += 1
+        return call(rows, value)
+
+    monkeypatch.setattr(harness._TreeWalker, "__init__", counted_init)
+    monkeypatch.setattr(harness._Rows, "__call__", counted_call)
+    return counts
 
 
 class TestCheckSolves:
@@ -687,9 +833,8 @@ class TestJudges:
             for pattern in all_monotone_patterns(2, horizon):
                 starts = predicate.sigma if horizon == 0 else predicate.sigma_init
                 for init in product(sorted(starts), repeat=2):
-                    judge = harness._judge(
-                        predicate, predicate.sigma, list(init), pattern, harness._Rows()
-                    )
+                    rows = harness._Rows()
+                    judge = harness._judge(predicate, predicate.sigma, rows(init), pattern, rows)
                     judges.add(type(judge))
                     walk(judge, pattern, 0)
                     assert judge.rows == [init]
@@ -752,16 +897,16 @@ class _ReadSetAudit:
     the ``memo_key`` call just before, and its key decoded through the
     call's interners into the sets it holds, so a wrong key is judged by its
     own contents.  Until the subtree is stored, each read is checked
-    against every open frame: crashed sets and history cells only at times
-    ``t .. t+remaining-1``, equal to the key's; the faulty set (through
-    ``faulty``, ``correct`` or a verdict) only if the key holds it; the
-    depth only where the step bound or a message tag needs it; and the
-    offset not at all.  Run documents are built outside the check.  ``misses``
+    against every open frame: columns (crashed sets and history cells)
+    only at times ``t .. t+remaining-1``, equal to the key's; the faulty set
+    (through ``faulty``, ``correct`` or a verdict) only if the key holds it;
+    the depth only for the step bound (messages in the tree carry no tag);
+    and the offset not at all.  Run documents are built outside the check.  ``misses``
     counts the frames, ``reads`` the reads checked.
     """
 
-    #: where a subtree walk may read its depth: the step bound and tags
-    DEPTH_READERS = frozenset({"children", "expand"})
+    #: where a subtree walk may read its depth: the step bound
+    DEPTH_READERS = frozenset({"expand"})
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.frames: list[tuple[int, int, frozenset | None, list]] = []
@@ -773,10 +918,11 @@ class _ReadSetAudit:
         audit = self
         walker_type = harness._TreeWalker
         memo_key, memo_view = walker_type.memo_key, walker_type.memo_view
-        enter, start, run = walker_type.enter, walker_type.start, walker_type.run
+        enter, enter_history = walker_type.enter, walker_type.enter_history
+        start, run = walker_type.start, walker_type.run
 
-        def spied_key(walker, t: int, remaining: int) -> tuple[int, int]:
-            key = memo_key(walker, t, remaining)
+        def spied_key(walker, t: int, remaining: int, node: int) -> tuple[int, int]:
+            key = memo_key(walker, t, remaining, node)
             audit.pending = (t, key)
             return key
 
@@ -786,10 +932,15 @@ class _ReadSetAudit:
             walker.pattern = _Recorded(pattern, audit)
             walker.faulty = _RecordedSet(walker.faulty, audit)
 
-        def recording_start(walker, history, init) -> None:
-            start(walker, history, init)
+        def recording_enter_history(walker, history) -> None:
+            enter_history(walker, history)
+            walker.column_at = _RecordedRow(walker.column_at, audit, "column")
+            walker.tables_at = _RecordedRow(walker.tables_at, audit, "column")
+
+        def recording_start(walker, history, choice: int) -> None:
+            start(walker, history, choice)
             walker.history = _RecordedHistory(history, audit)
-            walker.schedule = _RecordedList(walker.schedule, audit)
+            walker.path = _RecordedList(walker.path, audit)
 
         def unrecorded_run(walker):
             audit.suspended += 1
@@ -815,6 +966,7 @@ class _ReadSetAudit:
             lambda walker, aligned: None if memo_view(walker, aligned) is None else self,
         )
         monkeypatch.setattr(walker_type, "enter", recording_enter)
+        monkeypatch.setattr(walker_type, "enter_history", recording_enter_history)
         monkeypatch.setattr(walker_type, "start", recording_start)
         monkeypatch.setattr(walker_type, "run", unrecorded_run)
         monkeypatch.setattr(walker_type, "offset", property(offset_get, offset_set), raising=False)
@@ -837,7 +989,7 @@ class _ReadSetAudit:
         walker = self.walker
         sets = _set_decoder(walker)
         columns: list[tuple] = []
-        value = walker.windows.values[window]
+        value = walker.windows.values[window >> 1]
         while len(value) == 2:
             columns.append(walker.columns.values[value[0]])
             value = walker.windows.values[value[1]]
@@ -868,11 +1020,11 @@ class _ReadSetAudit:
                 s = where[-1]
                 assert t <= s < t + remaining, f"{kind} read at {s}, window {t}..{t + remaining - 1}"
                 crashed, cells = decoded[s - t]
-                if kind == "crashed":
+                if kind in ("crashed", "column"):
                     assert crashed == walker.pattern.real.crashed[s], f"crashed set at {s}"
-                else:
-                    p = where[0]
-                    assert cells[p] == walker.history.real.cells[p][s], f"cell ({p}, {s})"
+                history = walker.history.real.cells
+                for p in range(walker.n) if kind == "column" else where[:1] if kind == "cell" else ():
+                    assert cells[p] == history[p][s], f"cell ({p}, {s})"
 
 
 class _ReadSetTable:
@@ -1262,9 +1414,9 @@ class TestTheoremChecks:
         first_history: dict[tuple, object] = {}
         crossing = 0
 
-        def spied(walker, t: int, remaining: int) -> tuple:
+        def spied(walker, t: int, remaining: int, configuration: int) -> tuple:
             nonlocal crossing
-            key = memo_key(walker, t, remaining)
+            key = memo_key(walker, t, remaining, configuration)
             crossing += first_history.setdefault((walker.pattern, key), walker.history) is not (
                 walker.history
             )
@@ -1310,9 +1462,9 @@ class TestTheoremChecks:
         stored_in: dict[tuple[int, int], FailurePattern] = {}
         earlier = missed_again = 0
 
-        def spied(walker, t: int, remaining: int) -> tuple[int, int]:
+        def spied(walker, t: int, remaining: int, node: int) -> tuple[int, int]:
             nonlocal earlier, missed_again
-            key = window, configuration = memo_key(walker, t, remaining)
+            key = window, configuration = memo_key(walker, t, remaining, node)
             if configuration in walker.memo.get(window, ()):
                 earlier += stored_in[key] != walker.pattern
             else:
@@ -1339,6 +1491,28 @@ class TestTheoremChecks:
             _delay_report(name, case, READ_SET_BOUNDS)
         assert not audit.frames
         assert audit.misses > 0 and audit.reads > 0
+
+    def test_over_cap_claims_are_refused_before_anything_is_built(self) -> None:
+        """The run cap is checked before the walker exists, so refusing a
+        wide algorithm allocates nothing per process subset: at 16
+        processes each claim's refusal peaks under 1 MB."""
+        n = 16
+        alg = TableAlgorithm("wide", n, (("a", "b"),) * n, ({},) * n, (("x",),) * n)
+        maps = ({"a": "0|-", "b": "1|-"},) * n
+        interp = Interpretation(maps, AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET)
+        bounds = EnumerationBounds(n=n, horizon=2, max_steps=2, run_cap=0)
+        for check in (
+            lambda: verify_sos(alg, interp, PREDICATE, bounds),
+            lambda: verify_das(alg, interp, PREDICATE, 0, bounds),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded):
+                    check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_delay_claim_refuses_a_lag_past_the_horizon(self) -> None:
         """The wrapper's oracle is accurate after ``k+1``, which must stay

@@ -40,7 +40,14 @@ from fdlab.problems import AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET, Probl
 from fdlab.transforms import derive_interpretation_das, derive_interpretation_sos
 
 from .oracles import reference_report_docs
-from .test_harness import READ_SET_BOUNDS, _AuditMemo, _ReadSetAudit, _untimed
+from .test_harness import (
+    READ_SET_BOUNDS,
+    _AuditMemo,
+    _check_table_shape,
+    _ReadSetAudit,
+    _recorded,
+    _untimed,
+)
 
 STATES = ("s0", "s1", "s2", "s3")
 INITIALS = ("s0", "s1")
@@ -204,3 +211,18 @@ def test_memoized_walks_read_only_what_their_keys_fix_on_random_machines(
             for sabotaged in (False, True):
                 _report(machine, claim, sabotaged, READ_SET_BOUNDS)
     assert not audit.frames
+
+
+@SETTINGS
+@given(machines(3))
+def test_child_tables_equal_the_reference_expansion_on_random_machines(machine: Machine) -> None:
+    """Each claim's child table holds the from-scratch expansion of every
+    node it was asked for, and interns nothing an inner expansion does not
+    reach (see ``_check_table_shape``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        trees = _recorded(patch)
+        for claim in DERIVE:
+            _report(machine, claim, False, THREE)
+    assert len(trees) == 2
+    for tree in trees:
+        _check_table_shape(tree)
