@@ -350,9 +350,12 @@ class _ScheduleTree:
         self.max_steps = max_steps
         self.n = alg.n
         self.inits = inits
-        self.state_ids, self.triple_ids, self.set_ids = _Interner(), _Interner(), _Interner()
-        self.columns, self.nodes = _Interner(), _Interner()
+        self.state_ids = _Interner()
+        self.triple_ids = _Interner()
         self.receiver_of: list[int] = []
+        self.set_ids = _Interner()
+        self.columns = _Interner()
+        self.nodes = _Interner()
         self.sorted_of: list[int] = []
         self.roots = [self.node(tuple(map(self.state_ids, init))) for init in inits]
         self.transitions: dict[tuple, tuple | None] = {}
@@ -511,7 +514,9 @@ class _ScheduleTree:
             self.offset = offset
             yield from self._below(offset, self.root, (), window, owed, last, 0)
 
-    def _below(self, t: int, node: int, messages: tuple, window: int, owed, last, debt: int):
+    def _below(
+        self, t: int, node: int, messages: tuple, window: int, owed: frozenset, last: list, debt: int
+    ) -> Iterator[Run]:
         """The runs below ``node`` at time ``t``, whose tagged messages in
         transit are ``messages``."""
         schedule = self.schedule
@@ -890,12 +895,9 @@ class ClauseFailure:
     run_doc: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "clause": self.clause,
-            "detail": self.detail,
-            "multiplicity": self.multiplicity,
-            "run": self.run_doc,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["run"] = doc.pop("run_doc")
+        return doc
 
 
 @dataclass

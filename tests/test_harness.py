@@ -576,7 +576,7 @@ class TestStepTable:
                 key = (step.actor, step.pre, step.received, step.suspects, depth)
                 first, families = seen.setdefault(key, (step, set()))
                 assert first is step
-                assert step.post is tree_state(trees, step.post)
+                assert step.post is _tree_state(trees, step.post)
                 families.add((run.pattern, run.history, run.init))
         (tree,) = trees
 
@@ -589,7 +589,7 @@ class TestStepTable:
         assert max(len({f[0] for f in families}) for _, families in seen.values()) > 1
 
 
-def tree_state(trees: list, state):
+def _tree_state(trees: list, state):
     """The state object that the one recorded tree interned for ``state``."""
     (tree,) = trees
     return tree.state_ids.values[tree.state_ids.ids[state]]
