@@ -622,10 +622,10 @@ class _Judge:
     ``ids`` holds the sequence as ids of ``table``, the call's ``_Rows``,
     from the row id it is built or ``reset`` with: ``push`` appends the row
     in which process ``i`` shows ``letter`` instead, and ``pop`` takes the
-    last row back.  ``rows`` and ``last``
-    decode it.  ``broken`` holds one bit per row: has a step up to it
-    broken an agreement sequence for good (see ``_BREAKS``)?  ``classify``
-    judges the whole sequence, so this judge serves any predicate.
+    last row back.  ``rows`` and ``last`` decode it.  ``broken`` holds one
+    bit per row: has a step up to it broken an agreement sequence for good
+    (see ``_BREAKS``)?  ``classify`` judges the whole sequence, so this
+    judge serves any predicate.
     """
 
     __slots__ = ("ids", "broken", "table", "moves", "predicate", "pattern")
