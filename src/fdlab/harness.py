@@ -22,7 +22,8 @@ with the previous run, which holds the run's observable rows, so no run is
 re-interpreted from its initial states.  ``verify_sos`` / ``verify_das`` check
 that the stall and delay wrappers preserve solvability, clause by clause on
 every run.  All of them walk the same schedule trees, one tree per call that
-enters each pattern once and is re-rooted at each of its families.  Each
+enters each pattern once and is re-rooted at each of its families, each walk
+one recursion that hands each child its parent's step budget less one.  Each
 preservation claim is one walker class that states the whole claim and adds
 incremental per-step checks; one walker serves a call, and ``_verify_claim``
 takes it over patterns, history groups and initial states.  A tree's nodes
@@ -330,10 +331,12 @@ class _ScheduleTree:
     send order, interned in ``nodes``; ``sorted_of`` maps it to the node
     with its transit sorted, which the memo keys on.  ``roots`` holds one
     node per initial-state choice of ``inits``.  ``enter`` sets the pattern
-    of the families that ``start`` roots the tree at; a new history interns
-    each time's column (crashed set and cells, as ``set_ids``) in
-    ``column_at``.  The path is ``path``, the facts of its edges, whose
-    steps sit at consecutive times from the window ``offset``.
+    of the families that ``start`` roots the tree at, and ``budgets``, the
+    step budget (``max_steps``, cut at the horizon) of each window offset
+    at which a step fits; a new history interns each time's column (crashed
+    set and cells, as ``set_ids``) in ``column_at``.  The path is ``path``,
+    the facts of its edges, whose steps sit at consecutive times from the
+    window ``offset``.
 
     ``table`` maps a column id and a node id to the node's child entries,
     flat, two slots each: the child's node id (``None`` for a leaf, which
@@ -368,6 +371,8 @@ class _ScheduleTree:
         """Enter a pattern, whose families ``start`` roots until the next one."""
         self.pattern = pattern
         self.horizon = pattern.horizon
+        end = self.horizon + 1
+        self.budgets = [min(self.max_steps, end - t) for t in range(end)] if self.max_steps else []
         self.history: History | None = None
 
     def enter_history(self, history: History) -> None:
@@ -505,32 +510,26 @@ class _ScheduleTree:
         """
         window = self.horizon + 1 if window is None else window
         last = [-1 if p in owed else self.horizon for p in range(self.n)]
+        self.fairness = owed, window, last
         self.schedule: list[Step] = []
         if self.horizon - min(last) < window:
             yield self.make_run(self.schedule)
         # from this offset on, an owed process has idled a whole window
         too_late = window + min(last) + 1
-        for offset in range(min(self.horizon + 1, too_late)):
+        for offset, remaining in enumerate(self.budgets[:too_late]):
             self.offset = offset
-            yield from self._below(offset, self.root, (), window, owed, last, 0)
+            yield from self._below(offset, self.root, (), remaining, 0)
 
-    def _below(
-        self, t: int, node: int, messages: tuple, window: int, owed: frozenset, last: list, debt: int
-    ) -> Iterator[Run]:
-        """The runs below ``node`` at time ``t``, whose tagged messages in
-        transit are ``messages``."""
-        schedule = self.schedule
+    def _below(self, t: int, node: int, messages: tuple, remaining: int, debt: int) -> Iterator[Run]:
+        """The runs of at most ``remaining`` (at least 1) more steps below
+        ``node`` at time ``t``, whose tagged messages in transit are ``messages``."""
+        schedule, (owed, window, last) = self.schedule, self.fairness
         depth = len(schedule)
-        remaining = min(self.max_steps - depth, self.horizon + 1 - t)
-        if remaining <= 0:
-            return
         entries = self.children(node, t, remaining == 1)
         states, column = self.nodes.values[node], self.columns.values[self.column_at[t]]
         for i in range(0, len(entries), 2):
             child, facts = entries[i], entries[i + 1]
             actor, position, _, sent = facts
-            received = None if position is None else messages[position]
-            step = self.step(facts, depth, states, received, column)
             child_debt = debt
             if position is not None and actor in owed:
                 child_debt -= 1
@@ -541,12 +540,14 @@ class _ScheduleTree:
                 last[actor] = t
             oldest = min(last)
             if t - oldest < window:
+                received = None if position is None else messages[position]
+                step = self.step(facts, depth, states, received, column)
                 schedule.append(step)
                 if not child_debt and self.horizon - oldest < window:
                     yield self.make_run(schedule)
-                if child is not None:
+                if remaining > 1:
                     rest = _moved(messages, position, step.sent)
-                    yield from self._below(t + 1, child, rest, window, owed, last, child_debt)
+                    yield from self._below(t + 1, child, rest, remaining - 1, child_debt)
                 schedule.pop()
             last[actor] = before
 
@@ -716,10 +717,10 @@ def _fair_scan(
     each as its actor's new letter.  ``enumerate_runs`` builds each step
     once per edge and call, so an identical step may come from another
     path; it is an equal step, which pushes the same letter, and that is
-    all the judge needs.  The judge
-    starts over whenever the (pattern, history, initial states) family
-    changes.  A scan that ends without a fair run raises ``DomainMismatch``:
-    a check over no run must not report success.
+    all the judge needs.  Each pattern has one judge, ``reset`` to the
+    root row of each (history, initial states) family, as the preservation
+    walkers root theirs.  A scan that ends without a fair run raises
+    ``DomainMismatch``: a check over no run must not report success.
     """
     interp.check_initial_cover(alg.initial_states)
     of = interp.of
@@ -730,9 +731,10 @@ def _fair_scan(
     steps: tuple[Step, ...] = ()
     for run in enumerate_runs(alg, fd, strict_bounds):
         if run.init is not init or run.history is not history or run.pattern is not pattern:
+            if run.pattern is not pattern:
+                judge = _judge(predicate, interp.sigma, 0, run.pattern, table)
+            judge.reset(table(tuple(of(i, s) for i, s in enumerate(run.init))))
             pattern, history, init = run.pattern, run.history, run.init
-            row = table(tuple(of(i, s) for i, s in enumerate(init)))
-            judge = _judge(predicate, interp.sigma, row, pattern, table)
             steps = ()
         schedule = run.schedule
         keep = 0
@@ -1024,25 +1026,27 @@ class _TreeWalker(_ScheduleTree):
     A subclass states the whole claim: ``theorem``, ``fd``, ``k``, ``wrap``,
     ``derive``, ``map_pattern``, ``membership`` and its clause names, which
     initial states and steps the run mapping changes, the per-step clause
-    checks, and the mapping half of the per-node slow-path cross-check.  The
-    walker adds the path's two observable sequences, each in its own judge:
-    the wrapper run's in ``judge``, and the mapped run's in ``mapped``, one
-    row per step the mapping keeps.  Both judges intern their rows in
-    ``rows``, the call's ``_Rows``.  It also keeps the per-run violations the
-    path carries.  A path on which the two last row ids were always equal is
-    aligned: it stutter-expands the mapped sequence by construction, so
-    ``is_stutter`` runs only off such paths.
-    ``examples`` (for each of the first ``MAX_RECORDED_FAILURES`` (clause,
-    detail) pairs, the document of the first run seen, or ``None`` for a
-    membership clause) lasts for the whole call, and so does ``memo``.  It
-    maps a ``memo_key``'s window id to a table from its configuration id to
-    a walked subtree's ``_WalkTotals``, each distinct record kept once in
-    ``subtrees``; it is ``None`` for a ``thorough`` call, or a judge other
-    than the agreement monitor, the one whose verdicts the key's broken bit
-    and states fix.  Window ids come from ``windows``, each a column id and
-    the next window's id.  ``root_rows`` holds each initial-state choice's
-    two root row ids, and each pattern has one pair of judges, reset at
-    each family's root.
+    checks, and the mapping half of the per-node slow-path cross-check.
+
+    The walker adds the path's two observable sequences, each in its own
+    judge: the wrapper run's in ``judge``, and the mapped run's in
+    ``mapped``, one row per step the mapping keeps.  Both judges intern
+    their rows in ``rows``, the call's ``_Rows``; ``root_rows`` holds each
+    initial-state choice's two root row ids, and each pattern has one pair
+    of judges, reset at each family's root.  It also keeps the per-run
+    violations the path carries.  A path on which the two last row ids were
+    always equal is aligned: it stutter-expands the mapped sequence by
+    construction, so ``is_stutter`` runs only off such paths.
+
+    ``walk`` accounts a family's root, then each window offset's subtree
+    through ``expand``, the walk's one recursive method.  ``examples`` (for
+    each of the first ``MAX_RECORDED_FAILURES`` (clause, detail) pairs, the
+    document of the first run seen, or ``None`` for a membership clause)
+    lasts for the whole call, and so do ``memo`` (see ``expand``) and
+    ``subtrees``.  ``memo`` is ``None`` for a ``thorough`` call, or a judge
+    other than the agreement monitor, the one whose verdicts the key's
+    broken bit and states fix.  Window ids come from ``windows``, each a
+    column id and the next window's id.
     """
 
     theorem: str
@@ -1228,47 +1232,36 @@ class _TreeWalker(_ScheduleTree):
         assert fast_d == (slow_verdict == "fail" and slow_mapped != "fail")
 
     def walk(self, totals: _WalkTotals) -> None:
-        """Account the root once, then every window offset's subtree."""
+        """Account the root once, then each window offset's subtree."""
         self.account_node(totals, self.init_aligned)
-        for offset in range(self.horizon + 1):
+        for offset, remaining in enumerate(self.budgets):
             self.offset = offset
-            self.expand(totals, self.root, offset, self.init_aligned)
+            self.expand(totals, self.root, offset, remaining, self.init_aligned)
 
-    def expand(self, totals: _WalkTotals, node: int, t: int, aligned: bool) -> None:
-        """Walk the children at time ``t`` into ``totals``, or credit them
-        from the memo that ``memo_view`` returns.
+    def expand(self, totals: _WalkTotals, node: int, t: int, remaining: int, aligned: bool) -> None:
+        """Account each child of ``node`` at time ``t`` into ``totals``, and
+        walk below it while ``remaining``, the steps left, allows another.
 
-        A memo entry is the subtree's ``_WalkTotals``, clause tally included,
-        stored in the table of the key's window under its configuration.  A
-        miss walks the children into a fresh record and stores it; a hit and
-        a miss alike end by adding that record to ``totals``.  The memo is
-        consulted only on aligned paths that carry no violation, under
-        ``memo_key``.
+        Where ``memo_view`` returns a memo, which it does only on aligned
+        paths that carry no violation, the subtree is credited from it.  The
+        memo maps a ``memo_key``'s window id to a table from its
+        configuration id to the subtree's ``_WalkTotals``, clause tally
+        included, each distinct record kept once in ``subtrees``.  A hit
+        adds that record to ``totals``; a miss walks the children into a
+        fresh record, stores it, and then adds it.
         """
-        remaining = min(self.max_steps - len(self.path), self.horizon + 1 - t)
-        if remaining <= 0:
-            return
+        into = totals
         memo = self.memo_view(aligned)
-        if memo is None:
-            self.expand_children(totals, node, t, remaining, aligned)
-            return
-        window, key = self.memo_key(t, remaining, node)
-        table = memo.get(window)
-        if table is None:
-            table = memo[window] = {}
-        subtree = table.get(key)
-        if subtree is None:
-            subtree = _WalkTotals()
-            self.expand_children(subtree, node, t, remaining, aligned)
-            # few distinct records recur under many keys: keep one copy of each
-            tally = None if subtree.tally is None else tuple(subtree.tally.items())
-            record = (subtree.nodes, subtree.violations, subtree.decided, subtree.undecided, tally)
-            subtree = table[key] = self.subtrees.setdefault(record, subtree)
-        totals.add(subtree)
-
-    def expand_children(
-        self, totals: _WalkTotals, node: int, t: int, remaining: int, aligned: bool
-    ) -> None:
+        if memo is not None:
+            window, key = self.memo_key(t, remaining, node)
+            table = memo.get(window)
+            if table is None:
+                table = memo[window] = {}
+            subtree = table.get(key)
+            if subtree is not None:
+                totals.add(subtree)
+                return
+            into = _WalkTotals()
         judge, mapped = self.judge, self.mapped
         judge_ids, mapped_ids = judge.ids, mapped.ids
         sticky, path = self.sticky, self.path
@@ -1284,9 +1277,9 @@ class _TreeWalker(_ScheduleTree):
             step_viols = step_violations(facts)
             sticky.extend(step_viols)
             child_aligned = aligned and judge_ids[-1] == mapped_ids[-1]
-            self.account_node(totals, child_aligned)
-            if child is not None:
-                self.expand(totals, child, t + 1, child_aligned)
+            self.account_node(into, child_aligned)
+            if remaining > 1:
+                self.expand(into, child, t + 1, remaining - 1, child_aligned)
 
             if step_viols:
                 del sticky[len(sticky) - len(step_viols):]
@@ -1294,6 +1287,12 @@ class _TreeWalker(_ScheduleTree):
             if mapped_letter is not None:
                 mapped.pop()
             judge.pop()
+        if into is not totals:
+            # few distinct records recur under many keys: keep one copy of each
+            tally = None if into.tally is None else tuple(into.tally.items())
+            record = (into.nodes, into.violations, into.decided, into.undecided, tally)
+            subtree = table[key] = self.subtrees.setdefault(record, into)
+            totals.add(subtree)
 
 
 class _SosWalker(_TreeWalker):

@@ -52,6 +52,7 @@ from fdlab.transforms import (
 
 from .oracles import (
     PlantedLengthSensitive,
+    brute_force_runs,
     gapped_projections,
     reference_history_groups,
     reference_children,
@@ -429,6 +430,48 @@ class TestEnumerateRuns:
                 assert strict_runs == [
                     run for run in lax_runs if validate_run(run, alg, FD, mode, window).valid
                 ]
+
+
+class TestStepBudgetEdges:
+    """The two edges of a window's step budget, ``min(max_steps, horizon +
+    1 - offset)``: no step at all, and a step bound past the horizon, which
+    the horizon cuts at every offset."""
+
+    BOUNDS = EnumerationBounds(n=2, horizon=2, max_steps=0, history_budget=1)
+
+    @pytest.mark.parametrize("max_steps", [0, BOUNDS.horizon + 2])
+    @pytest.mark.parametrize(
+        "name, fd",
+        [
+            pytest.param("flood-consensus-p", FDSpec.always_accurate(), id="flood-consensus-p"),
+            pytest.param("strong-consensus-m", FDSpec.foresight(), id="strong-consensus-m"),
+        ],
+    )
+    def test_every_walk_equals_its_reference(self, name: str, fd: FDSpec, max_steps: int) -> None:
+        """The enumeration equals the blind search in both modes, the
+        solvability reports equal the reference scan's, and each claim's
+        report equals its ``thorough`` one."""
+        alg, interp, predicate = builtin_algorithm(name, 2)
+        bounds = replace(self.BOUNDS, max_steps=max_steps)
+        for mode in ValidationMode:
+            moded = replace(bounds, mode=mode)
+            runs = list(enumerate_runs(alg, fd, moded))
+            assert len(runs) == len(set(runs))
+            assert set(runs) == brute_force_runs(alg, fd, moded)
+        lax, quiescent, probe = reference_report_docs(alg, fd, interp, predicate, bounds)
+        assert _untimed(check_solves(alg, fd, interp, predicate, bounds)) == lax
+        assert (
+            _untimed(check_solves(alg, fd, interp, predicate, bounds, require_quiescence=True))
+            == quiescent
+        )
+        assert _untimed(counterexample_probe(alg, fd, interp, predicate, bounds)) == probe
+        for claim, args in ((verify_sos, ()), (verify_das, (0,))):
+            fast, slow = (
+                _untimed(claim(alg, interp, predicate, *args, bounds, thorough=thorough))
+                for thorough in (False, True)
+            )
+            assert fast.pop("thorough") is False and slow.pop("thorough") is True
+            assert fast == slow
 
 
 class TestGappedRuns:
@@ -900,13 +943,11 @@ class _ReadSetAudit:
     against every open frame: columns (crashed sets and history cells)
     only at times ``t .. t+remaining-1``, equal to the key's; the faulty set
     (through ``faulty``, ``correct`` or a verdict) only if the key holds it;
-    the depth only for the step bound (messages in the tree carry no tag);
-    and the offset not at all.  Run documents are built outside the check.  ``misses``
-    counts the frames, ``reads`` the reads checked.
+    the depth and the offset not at all (messages in the tree carry no tag,
+    and the step budget is counted down from the root).  Run documents are
+    built outside the check.  ``misses`` counts the frames, ``reads`` the
+    reads checked.
     """
-
-    #: where a subtree walk may read its depth: the step bound
-    DEPTH_READERS = frozenset({"expand"})
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.frames: list[tuple[int, int, frozenset | None, list]] = []
@@ -1012,10 +1053,8 @@ class _ReadSetAudit:
         for t, remaining, faulty, decoded in self.frames:
             if kind == "faulty":
                 assert faulty == walker.pattern.real.faulty(), "faulty set read, not in the key"
-            elif kind == "depth":
-                assert where[0] in self.DEPTH_READERS, f"depth read by {where[0]}"
-            elif kind == "offset":
-                raise AssertionError(f"offset read by {where[0]} in a memoized walk")
+            elif kind in ("depth", "offset"):
+                raise AssertionError(f"{kind} read by {where[0]} in a memoized walk")
             else:
                 s = where[-1]
                 assert t <= s < t + remaining, f"{kind} read at {s}, window {t}..{t + remaining - 1}"
@@ -1115,7 +1154,7 @@ class _RecordedSet(frozenset):
 
 
 class _RecordedList(list):
-    """The path, whose length (the depth) is read only where allowed."""
+    """The path, whose length (the depth) a memoized walk must not read."""
 
     def __init__(self, real: list, audit: _ReadSetAudit) -> None:
         super().__init__(real)
