@@ -179,6 +179,14 @@ class _ClassRule:
     forbidden_name: str
     complete: bool
 
+    def admits(self, p: int, t: int, value: frozenset[int]) -> bool:
+        """May observer ``p`` be told the suspect set ``value`` at time
+        ``t``?  Exactly when ``cell_violations`` finds nothing there."""
+        return (
+            p not in self.observers[t]
+            or not value & self.forbidden[t] and self.required[t] <= value
+        )
+
     def cell_violations(self, p: int, t: int, value: frozenset[int]) -> list[MembershipViolation]:
         """What telling observer ``p`` the suspect set ``value`` at time ``t``
         breaks: forbidden subjects, then missing ones; empty when the cell is
@@ -208,6 +216,7 @@ class _ClassRule:
             v
             for t, observers in enumerate(self.observers)
             for p in sorted(observers)
+            if not self.admits(p, t, h.at(p, t))
             for v in self.cell_violations(p, t, h.at(p, t))
         ]
         suffix = [
@@ -338,7 +347,7 @@ def _perturbations(
     value_pool = _sorted_subsets(f.n)
     admissible = {
         (p, t): [
-            v for v in value_pool if v != base.at(p, t) and not rule.cell_violations(p, t, v)
+            v for v in value_pool if v != base.at(p, t) and rule.admits(p, t, v)
         ]
         for (p, t) in cells
     }

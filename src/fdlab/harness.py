@@ -31,10 +31,13 @@ are configurations without message tags, interned per call, and it keeps one
 child table for the call: a node's children under one time's column (crashed
 set and history cells) are built once, each transition input runs
 ``alg.transition`` once, and equal post states are one object.  ``Step``s
-exist only for runs.  Both walkers memoize subtrees met on aligned paths that
-carry no violation, for the whole call, in one table per id of the window the
-subtree reads (faulty set and columns) and broken bit, keyed by the node id of
-the configuration with its transit sorted: ``_TreeWalker.memo_key``.
+exist only for runs.  Both walkers memoize every subtree for the whole call,
+in one table per id of the window the subtree reads (faulty set and columns)
+and broken bit, keyed by the node id of the configuration with its transit
+sorted.  Off aligned paths that carry no violation, the key packs the path's
+context above the node id: its violations and the id of its two observable
+sequences, whose clause (c) verdict ``is_stutter`` gives once per call
+(``_TreeWalker.memo_key``).
 ``thorough=True`` re-derives every per-node verdict from scratch through
 ``validate_run``, ``is_stutter`` and the predicate and insists the two agree.
 """
@@ -118,6 +121,9 @@ DEFAULT_RUN_CAP = 1_000_000
 RUN_CAP_ENV_VAR = "FDLAB_RUN_CAP"
 #: At most this many distinct failure entries are kept per report.
 MAX_RECORDED_FAILURES = 20
+#: A memo key packs a path's context above this many bits of node id; no
+#: call interns anywhere near 2**32 nodes.
+_NODE_BITS = 32
 
 #: The canonicalization note of every enumeration-backed report.
 SWEEP_NOTE = (
@@ -1036,17 +1042,20 @@ class _TreeWalker(_ScheduleTree):
     of judges, reset at each family's root.  It also keeps the per-run
     violations the path carries.  A path on which the two last row ids were
     always equal is aligned: it stutter-expands the mapped sequence by
-    construction, so ``is_stutter`` runs only off such paths.
+    construction.  Off such paths clause (c) reads ``stutters``, which maps
+    each distinct pair of row id sequences to its id and ``is_stutter``
+    verdict, so ``is_stutter`` runs once per pair and call.
 
     ``walk`` accounts a family's root, then each window offset's subtree
     through ``expand``, the walk's one recursive method.  ``examples`` (for
     each of the first ``MAX_RECORDED_FAILURES`` (clause, detail) pairs, the
     document of the first run seen, or ``None`` for a membership clause)
-    lasts for the whole call, and so do ``memo`` (see ``expand``) and
-    ``subtrees``.  ``memo`` is ``None`` for a ``thorough`` call, or a judge
-    other than the agreement monitor, the one whose verdicts the key's
-    broken bit and states fix.  Window ids come from ``windows``, each a
-    column id and the next window's id.
+    lasts for the whole call, and so do ``memo`` (see ``expand``),
+    ``subtrees``, ``stutters`` and ``contexts``.  ``memo`` is ``None`` for a
+    ``thorough`` call, or a judge other than the agreement monitor, the one
+    whose verdicts the key's broken bit and states fix; otherwise it serves
+    every path.  Window ids come from ``windows``, each a column id and the
+    next window's id.
     """
 
     theorem: str
@@ -1086,6 +1095,10 @@ class _TreeWalker(_ScheduleTree):
         #: each distinct subtree record the memo stores, kept once for the call
         self.subtrees: dict[tuple, _WalkTotals] = {}
         self.windows = _Interner()
+        #: (mapped row ids, wrapper row ids) -> (pair id, is_stutter verdict)
+        self.stutters: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, bool]] = {}
+        #: (sticky pairs, pair id) of the paths the plain memo key does not serve
+        self.contexts = _Interner()
 
     def enter(self, pattern: FailurePattern) -> None:
         """Enter a pattern, with one judge per observable sequence."""
@@ -1135,15 +1148,15 @@ class _TreeWalker(_ScheduleTree):
         shown = self.v_tilde.of(actor, post)
         return shown, None if self.dropped(actor, pre, suspects) else self.interp.of(actor, post)
 
-    def memo_view(self, aligned: bool) -> dict | None:
-        """The memo to consult at this node, or ``None`` to walk it."""
-        return self.memo if aligned and not self.sticky else None
+    def memo_view(self) -> dict | None:
+        """The memo to consult at each node, or ``None`` to walk it."""
+        return self.memo
 
-    def memo_key(self, t: int, remaining: int, node: int) -> tuple[int, int]:
-        """What fixes the subtree below ``node`` at time ``t`` on an aligned
-        path that carries no violation, at most ``remaining`` more steps
-        deep: the id of its window with the broken bit, and the node with
-        its transit sorted.
+    def memo_key(self, t: int, remaining: int, node: int, aligned: bool) -> tuple[int, int]:
+        """What fixes the subtree below ``node`` at time ``t``, at most
+        ``remaining`` more steps deep: the id of its window with the broken
+        bit, and the node with its transit sorted, packed with the path's
+        context where the path is not ``aligned`` or carries a violation.
 
         The window holds the faulty set, which fixes the survivors that the
         verdicts and the stall clauses read, and the columns of times
@@ -1151,12 +1164,21 @@ class _TreeWalker(_ScheduleTree):
         what each step suspects.  Its id chains the column at ``t`` to the
         window of ``(t+1, remaining-1)``, down to the faulty set alone, so
         the length fixes ``remaining``.  Nothing below reads ``t`` or the
-        depth: nodes hold messages without the tag that depth sets.  The
-        states fix the last row and so every later verdict of an unbroken
-        sequence.  The mapped judge's row and bit equal the wrapper judge's
-        on aligned paths: both start at equal rows, a dropped step repeats
-        the last row (``_BREAKS[x, x]`` is false), and a kept step makes the
-        same letter change in both.
+        depth: nodes hold messages without the tag that depth sets.
+
+        On an aligned path that carries no violation, the states fix the
+        last row and so every later verdict of an unbroken sequence.  The
+        mapped judge's row and bit equal the wrapper judge's there: both
+        start at equal rows, a dropped step repeats the last row
+        (``_BREAKS[x, x]`` is false), and a kept step makes the same letter
+        change in both.  Off such paths the context, interned in
+        ``contexts``, is the sticky pairs and the id of the two row id
+        sequences in ``stutters``.  The sequences fix both last rows, both
+        broken bits and, with the rows each step pushes, every later
+        ``is_stutter`` verdict; the sticky pairs are what the subtree's
+        nodes carry besides their own.  Whether the path is aligned is not
+        in the key: where an aligned path's node passes clause (c) by
+        construction, ``is_stutter`` holds on its sequences anyway.
         """
         window = self.window_at.get((t, remaining))
         if window is None:
@@ -1164,7 +1186,23 @@ class _TreeWalker(_ScheduleTree):
             window = self.windows((self.set_ids(self.faulty),))
             for s in range(end - 1, t - 1, -1):
                 window = self.window_at[s, end - s] = self.windows((column_at[s], window))
-        return window << 1 | self.judge.broken[-1], self.sorted_of[node]
+        configuration = self.sorted_of[node]
+        if not aligned or self.sticky:
+            context = self.contexts((tuple(self.sticky), self.stutter(aligned)[0]))
+            configuration |= (context + 1) << _NODE_BITS
+        return window << 1 | self.judge.broken[-1], configuration
+
+    def stutter(self, aligned: bool) -> tuple[int, bool]:
+        """The entry of ``stutters`` for the path's two row id sequences,
+        made on its first use: ``is_stutter`` runs once per distinct pair,
+        and not for a pair first met on an aligned path, which
+        stutter-embeds by construction."""
+        key = (tuple(self.mapped.ids), tuple(self.judge.ids))
+        entry = self.stutters.get(key)
+        if entry is None:
+            verdict = aligned or is_stutter(tuple(self.mapped.rows), tuple(self.judge.rows))
+            entry = self.stutters[key] = (len(self.stutters), verdict)
+        return entry
 
     def check_mapping(self, run: Run, fast_clauses: set[str]) -> None:
         """Validate the current run's mapped run from scratch and compare
@@ -1182,7 +1220,7 @@ class _TreeWalker(_ScheduleTree):
     def account_node(self, totals: _WalkTotals, aligned: bool) -> None:
         totals.nodes += 1
         violations = self.sticky
-        c_ok = aligned or is_stutter(tuple(self.mapped.rows), tuple(self.judge.rows))
+        c_ok = aligned or self.stutter(False)[1]
         if not c_ok:
             detail = "observable sequence is not a stutter expansion"
             violations = violations + [(self.c_clause, detail)]
@@ -1242,18 +1280,18 @@ class _TreeWalker(_ScheduleTree):
         """Account each child of ``node`` at time ``t`` into ``totals``, and
         walk below it while ``remaining``, the steps left, allows another.
 
-        Where ``memo_view`` returns a memo, which it does only on aligned
-        paths that carry no violation, the subtree is credited from it.  The
-        memo maps a ``memo_key``'s window id to a table from its
-        configuration id to the subtree's ``_WalkTotals``, clause tally
+        Where ``memo_view`` returns a memo, the subtree is credited from it.
+        The memo maps a ``memo_key``'s window id to a table from its
+        configuration, packed with the path's context off aligned,
+        violation-free paths, to the subtree's ``_WalkTotals``, clause tally
         included, each distinct record kept once in ``subtrees``.  A hit
         adds that record to ``totals``; a miss walks the children into a
         fresh record, stores it, and then adds it.
         """
         into = totals
-        memo = self.memo_view(aligned)
+        memo = self.memo_view()
         if memo is not None:
-            window, key = self.memo_key(t, remaining, node)
+            window, key = self.memo_key(t, remaining, node, aligned)
             table = memo.get(window)
             if table is None:
                 table = memo[window] = {}

@@ -25,6 +25,7 @@ from fdlab import (
     shift_history,
     shift_pattern,
 )
+from fdlab.detectors import _class_rule
 
 from .oracles import (
     reference_canonical_history,
@@ -227,6 +228,28 @@ class TestMembership:
                             assert history_matches(spec, h, f) == reference(h, f)
                             pairs += 1
         assert pairs == 112_688
+
+    def test_admits_exactly_the_cells_without_violations(self) -> None:
+        """``_ClassRule.admits`` holds exactly where ``cell_violations`` is
+        empty, for P, M, M:correct and every Pk:k, on every pattern with
+        n <= 3 and horizon <= 3, at every cell and every suspect set."""
+        cells = admitted = 0
+        for n in (1, 2, 3):
+            values = [frozenset(s) for r in range(n + 1) for s in combinations(range(n), r)]
+            for horizon in range(4):
+                specs = [FDSpec.always_accurate(), FDSpec.foresight(), FDSpec.foresight(False)]
+                specs += [FDSpec.accurate_after(k) for k in range(horizon + 1)]
+                for f in all_monotone_patterns(n, horizon):
+                    for spec in specs:
+                        rule = _class_rule(spec, f)
+                        for p in range(n):
+                            for t in range(horizon + 1):
+                                for value in values:
+                                    admits = rule.admits(p, t, value)
+                                    assert admits == (not rule.cell_violations(p, t, value))
+                                    cells += 1
+                                    admitted += admits
+        assert (cells, admitted) == (128_148, 88_063)
 
     def test_shape_mismatch_raises(self) -> None:
         f = FailurePattern.from_crash_times(2, 2, {})

@@ -41,7 +41,7 @@ from fdlab.harness import (
 )
 from fdlab.machines import TableAlgorithm
 from fdlab.model import Step
-from fdlab.problems import AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET
+from fdlab.problems import AGREEMENT_ALPHABET, AGREEMENT_INITIAL_ALPHABET, is_stutter
 from fdlab.traces import canonical_json, run_from_doc
 from fdlab.transforms import (
     DelayState,
@@ -894,11 +894,12 @@ class _AuditMemo(dict):
     walked each time.  ``get(window)`` returns the window's table, kept for
     the audit's life; a store under a configuration stored before in that
     table must carry the first store's totals and tally, in the same order.
-    ``repeats`` counts such stores across all tables."""
+    ``repeats`` counts such stores across all tables, and ``context_repeats``
+    those under a key that packs a path context (see ``memo_key``)."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.repeats = 0
+        self.repeats = self.context_repeats = 0
 
     def get(self, window, default=None):
         table = super().get(window)
@@ -926,6 +927,7 @@ class _AuditTable(dict):
         record = (subtree.nodes, subtree.violations, subtree.decided, subtree.undecided, tally)
         if configuration in self:
             self.memo.repeats += 1
+            self.memo.context_repeats += configuration >> harness._NODE_BITS > 0
             assert self[configuration] == record, configuration
         else:
             super().__setitem__(configuration, record)
@@ -939,14 +941,17 @@ class _ReadSetAudit:
     proxies for the whole call.  A miss opens a frame: its time ``t``, from
     the ``memo_key`` call just before, and its key decoded through the
     call's interners into the sets it holds, so a wrong key is judged by its
-    own contents.  Until the subtree is stored, each read is checked
-    against every open frame: columns (crashed sets and history cells)
-    only at times ``t .. t+remaining-1``, equal to the key's; the faulty set
+    own contents.  A key without a path context needs a path that carries
+    no violation and ends in equal rows; a key with one must decode to the
+    path's sticky pairs and to both judges' row ids.  Until the subtree is
+    stored, each read is checked against every open frame: columns (crashed
+    sets and history cells) only at times ``t .. t+remaining-1``, equal to
+    the key's; the faulty set
     (through ``faulty``, ``correct`` or a verdict) only if the key holds it;
     the depth and the offset not at all (messages in the tree carry no tag,
     and the step budget is counted down from the root).  Run documents are
-    built outside the check.  ``misses`` counts the frames, ``reads`` the
-    reads checked.
+    built outside the check.  ``misses`` counts the frames, ``contexts``
+    those whose key packs a context, and ``reads`` the reads checked.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -954,7 +959,7 @@ class _ReadSetAudit:
         self.table = _ReadSetTable(self)
         self.pending: tuple[int, tuple[int, int]] | None = None
         self.suspended = 0
-        self.misses = self.reads = 0
+        self.misses = self.reads = self.contexts = 0
         self.walker = None
         audit = self
         walker_type = harness._TreeWalker
@@ -962,8 +967,8 @@ class _ReadSetAudit:
         enter, enter_history = walker_type.enter, walker_type.enter_history
         start, run = walker_type.start, walker_type.run
 
-        def spied_key(walker, t: int, remaining: int, node: int) -> tuple[int, int]:
-            key = memo_key(walker, t, remaining, node)
+        def spied_key(walker, t: int, remaining: int, node: int, aligned: bool) -> tuple[int, int]:
+            key = memo_key(walker, t, remaining, node, aligned)
             audit.pending = (t, key)
             return key
 
@@ -1004,7 +1009,7 @@ class _ReadSetAudit:
         monkeypatch.setattr(
             walker_type,
             "memo_view",
-            lambda walker, aligned: None if memo_view(walker, aligned) is None else self,
+            lambda walker: None if memo_view(walker) is None else self,
         )
         monkeypatch.setattr(walker_type, "enter", recording_enter)
         monkeypatch.setattr(walker_type, "enter_history", recording_enter_history)
@@ -1041,6 +1046,17 @@ class _ReadSetAudit:
             decoded.append((crashed, tuple(sets(c) for c in column[-walker.n :])))
         self.frames.append((t, len(columns), faulty, decoded))
         self.misses += 1
+        context = configuration >> harness._NODE_BITS
+        if not context:
+            assert not walker.sticky, "a plain key on a path that carries a violation"
+            assert walker.judge.ids[-1] == walker.mapped.ids[-1], "a plain key on unequal rows"
+            return
+        sticky, pair = walker.contexts.values[context - 1]
+        assert list(sticky) == walker.sticky, "sticky pairs"
+        mapped, wrapper = list(walker.stutters)[pair]
+        assert list(mapped) == walker.mapped.ids, "mapped row ids"
+        assert list(wrapper) == walker.judge.ids, "wrapper row ids"
+        self.contexts += 1
 
     # -- reads -----------------------------------------------------------------
 
@@ -1199,10 +1215,10 @@ DELAY_AUDIT_BOUNDS = EnumerationBounds(
     patterns=tuple(p for p in all_monotone_patterns(3, 3) if p.faulty() == {1, 2}),
 )
 #: the delay checks the memo audits compare: clean, a delay state's letter
-#: sabotaged, a kept state's letter sabotaged, and unshifted.  Only the
-#: third puts failures in subtrees the memo serves: a delay state shows its
-#: letter only in a run's first row, so its sabotage unaligns the run at the
-#: root, where no memo is consulted
+#: sabotaged, a kept state's letter sabotaged, and unshifted.  The two
+#: sabotages put failures in subtrees the memo serves.  A delay state shows
+#: its letter only in a run's first row, so its sabotage unaligns the run at
+#: the root, and every memo key below packs the path's context
 DELAY_AUDIT_CASES = ("clean", "delay-letter", "step-letter", "unshifted")
 DELAY_SABOTAGES = {"delay-letter": _sabotaged_das, "step-letter": _sabotaged_step_das}
 #: n = 3 delay-claim bounds whose step bound ends each window before the
@@ -1305,7 +1321,7 @@ class TestTheoremChecks:
         sabotaged = report(_sabotaged_sos(alg, interp))
         assert report(None) == clean
         assert clean["failure_count"] == 0 < sabotaged["failure_count"]
-        monkeypatch.setattr(harness._SosWalker, "memo_view", lambda self, aligned: None)
+        monkeypatch.setattr(harness._SosWalker, "memo_view", lambda self: None)
         assert report(None) == clean
         assert report(_sabotaged_sos(alg, interp)) == sabotaged
 
@@ -1315,7 +1331,8 @@ class TestTheoremChecks:
     ) -> None:
         """Wherever the stall memo would be consulted, an audit memo walks
         the subtree anyway and compares it with every earlier subtree under
-        the same key, clean and sabotaged."""
+        the same key, clean and sabotaged; only the sabotaged call repeats
+        keys that pack a context."""
         alg, interp, predicate = builtin_algorithm(name, 3)
         bounds = EnumerationBounds(n=3, horizon=4, max_steps=4)
         memo_view = harness._SosWalker.memo_view
@@ -1324,11 +1341,12 @@ class TestTheoremChecks:
             monkeypatch.setattr(
                 harness._SosWalker,
                 "memo_view",
-                lambda self, aligned: None if memo_view(self, aligned) is None else audit,
+                lambda self: None if memo_view(self) is None else audit,
             )
             verify_sos(alg, interp, predicate, bounds, derived_interp=derived)
             assert audit.repeats > 0
             assert any(tally for *_, tally in audit.records()) == (derived is not None)
+            assert (audit.context_repeats > 0) == (derived is not None)
 
     @pytest.mark.parametrize(
         "claim",
@@ -1441,6 +1459,53 @@ class TestTheoremChecks:
             assert getattr(fast, field) == getattr(slow, field), field
         assert [f.to_dict() for f in fast.failures] == [f.to_dict() for f in slow.failures]
 
+    @pytest.mark.parametrize("case", ["sos", *DELAY_SABOTAGES])
+    def test_stutter_table_holds_each_pairs_verdict(
+        self, case: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Each entry of a sabotaged call's stutter table holds
+        ``is_stutter``'s verdict on the two row sequences its key decodes
+        to, and ``is_stutter`` runs at most once per entry; the call's
+        report is the thorough one's."""
+        alg, interp, predicate = builtin_algorithm("flood-consensus-p", 2)
+        derived = (_sabotaged_sos if case == "sos" else DELAY_SABOTAGES[case])(alg, interp)
+        walkers = []
+        calls = 0
+        init = harness._TreeWalker.__init__
+
+        def recording_init(walker, *args, **kw) -> None:
+            init(walker, *args, **kw)
+            walkers.append(walker)
+
+        def counted(w, w_prime) -> bool:
+            nonlocal calls
+            calls += 1
+            return is_stutter(w, w_prime)
+
+        def report(thorough: bool) -> dict:
+            kw = dict(derived_interp=derived, thorough=thorough)
+            if case == "sos":
+                return _untimed(verify_sos(alg, interp, predicate, self.BOUNDS, **kw))
+            return _untimed(verify_das(alg, interp, predicate, 0, self.BOUNDS, **kw))
+
+        monkeypatch.setattr(harness._TreeWalker, "__init__", recording_init)
+        monkeypatch.setattr(harness, "is_stutter", counted)
+        fast = report(False)
+        walker = walkers[0]
+        rows = walker.rows.values
+        verdicts = []
+        for expected, ((mapped, wrapper), (pair, verdict)) in enumerate(walker.stutters.items()):
+            assert pair == expected
+            w, w_prime = (tuple(rows[row] for row in ids) for ids in (mapped, wrapper))
+            assert verdict == is_stutter(w, w_prime)
+            verdicts.append(verdict)
+        assert 0 < calls <= len(verdicts)
+        assert not all(verdicts)
+        slow = report(True)
+        assert (fast.pop("thorough"), slow.pop("thorough")) == (False, True)
+        assert fast["failure_count"] > 0
+        assert fast == slow
+
     @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
     def test_delay_memo_on_equals_memo_off_at_three_processes(
         self, name: str, monkeypatch: pytest.MonkeyPatch
@@ -1453,9 +1518,9 @@ class TestTheoremChecks:
         first_history: dict[tuple, object] = {}
         crossing = 0
 
-        def spied(walker, t: int, remaining: int, configuration: int) -> tuple:
+        def spied(walker, t: int, remaining: int, configuration: int, aligned: bool) -> tuple:
             nonlocal crossing
-            key = memo_key(walker, t, remaining, configuration)
+            key = memo_key(walker, t, remaining, configuration, aligned)
             crossing += first_history.setdefault((walker.pattern, key), walker.history) is not (
                 walker.history
             )
@@ -1466,7 +1531,7 @@ class TestTheoremChecks:
         assert crossing > 0
         failing = {case for case, doc in memoized.items() if doc["failure_count"]}
         assert failing == set(DELAY_AUDIT_CASES) - {"clean"}
-        monkeypatch.setattr(harness._DasWalker, "memo_view", lambda self, aligned: None)
+        monkeypatch.setattr(harness._DasWalker, "memo_view", lambda self: None)
         assert {case: _delay_report(name, case) for case in DELAY_AUDIT_CASES} == memoized
 
     @pytest.mark.parametrize("name", ["flood-consensus-p", "strong-consensus-m"])
@@ -1477,7 +1542,9 @@ class TestTheoremChecks:
         whole call walks the subtree anyway and compares it with every
         earlier subtree under the same key, whichever pattern stored it: a
         key must fix its subtree whatever the memo's lifetime.  Subtrees
-        carry failures only where a kept state's letter is sabotaged."""
+        carry failures exactly where a letter is sabotaged.  Keys off
+        aligned paths, which pack a context, repeat only there: in every
+        delay-letter call, which unaligns each run at its root."""
         memo_view = harness._DasWalker.memo_view
         for bounds in (DELAY_AUDIT_BOUNDS, DELAY_SHORT_BOUNDS):
             for case in DELAY_AUDIT_CASES:
@@ -1485,11 +1552,15 @@ class TestTheoremChecks:
                 monkeypatch.setattr(
                     harness._DasWalker,
                     "memo_view",
-                    lambda self, aligned: None if memo_view(self, aligned) is None else audit,
+                    lambda self: None if memo_view(self) is None else audit,
                 )
                 _delay_report(name, case, bounds)
                 assert audit.repeats > 0
-                assert any(tally for *_, tally in audit.records()) == (case == "step-letter")
+                sabotaged = case in DELAY_SABOTAGES
+                assert any(tally for *_, tally in audit.records()) == sabotaged
+                # a kept state's letter unaligns a short window's paths only at leaves
+                unaligned = case == "delay-letter" or sabotaged and bounds is DELAY_AUDIT_BOUNDS
+                assert (audit.context_repeats > 0) == unaligned
 
     def test_delay_memo_keeps_each_key_for_the_whole_call(
         self, monkeypatch: pytest.MonkeyPatch
@@ -1501,9 +1572,9 @@ class TestTheoremChecks:
         stored_in: dict[tuple[int, int], FailurePattern] = {}
         earlier = missed_again = 0
 
-        def spied(walker, t: int, remaining: int, node: int) -> tuple[int, int]:
+        def spied(walker, t: int, remaining: int, node: int, aligned: bool) -> tuple[int, int]:
             nonlocal earlier, missed_again
-            key = window, configuration = memo_key(walker, t, remaining, node)
+            key = window, configuration = memo_key(walker, t, remaining, node, aligned)
             if configuration in walker.memo.get(window, ()):
                 earlier += stored_in[key] != walker.pattern
             else:
@@ -1526,10 +1597,10 @@ class TestTheoremChecks:
         audit = _ReadSetAudit(monkeypatch)
         for derived in (None, _sabotaged_sos(alg, interp)):
             verify_sos(alg, interp, predicate, READ_SET_BOUNDS, derived_interp=derived)
-        for case in ("clean", "step-letter"):
+        for case in DELAY_AUDIT_CASES[:3]:
             _delay_report(name, case, READ_SET_BOUNDS)
         assert not audit.frames
-        assert audit.misses > 0 and audit.reads > 0
+        assert audit.misses > audit.contexts > 0 and audit.reads > 0
 
     def test_over_cap_claims_are_refused_before_anything_is_built(self) -> None:
         """The run cap is checked before the walker exists, so refusing a

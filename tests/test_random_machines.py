@@ -158,7 +158,7 @@ def test_memo_on_equals_memo_off_on_random_machines(machine: Machine) -> None:
     cases = [(claim, sabotaged) for claim in DERIVE for sabotaged in (False, True)]
     memoized = [_report(machine, claim, sabotaged, THREE) for claim, sabotaged in cases]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness._TreeWalker, "memo_view", lambda self, aligned: None)
+        patch.setattr(harness._TreeWalker, "memo_view", lambda self: None)
         assert [_report(machine, claim, sabotaged, THREE) for claim, sabotaged in cases] == memoized
 
 
@@ -176,7 +176,7 @@ def test_equal_memo_keys_mean_equal_subtrees_on_random_machines(machine: Machine
                 patch.setattr(
                     harness._TreeWalker,
                     "memo_view",
-                    lambda self, aligned: None if memo_view(self, aligned) is None else audit,
+                    lambda self: None if memo_view(self) is None else audit,
                 )
                 _report(machine, claim, sabotaged, THREE)
 
